@@ -82,7 +82,7 @@ def verify_anticlique(
         raise ValueError("candidate projection has rank 0")
     constants = []
     max_residual = 0.0
-    worst = None
+    worst = None  # (last index attaining max_residual, its residual matrix)
     for idx, a in enumerate(graph.basis):
         pap = p @ a @ p
         c = np.trace(pap) / rank
@@ -91,14 +91,14 @@ def verify_anticlique(
         residual = max_abs(residual_matrix)
         if residual >= max_residual:
             max_residual = residual
-            worst = (idx, fingerprint(residual_matrix))
+            worst = (idx, residual_matrix)
     passed = max_residual <= tol.eq_tol and rank >= 2
     return AnticliqueVerdict(
         passed=passed,
         constants=tuple(constants),
         max_residual=max_residual,
         code_dimension=rank,
-        witness=None if passed else worst,
+        witness=None if passed or worst is None else (worst[0], fingerprint(worst[1])),
     )
 
 

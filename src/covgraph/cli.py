@@ -28,7 +28,7 @@ from .families import (
     family_params_from_matrix,
     family_projection,
 )
-from .graphs import is_operator_system, orbit_graph, sampled_orbit_graph, span_projector
+from .graphs import _span_gap, is_operator_system, orbit_graph, sampled_orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, max_abs
 
 REPORT_VERSION = "covgraph-report/1"
@@ -392,7 +392,7 @@ def _cmd_verify(args) -> int:
         if args.samples < 1:
             raise CliInputError("samples must be >= 1")
         sampled = sampled_orbit_graph(rep, seed, args.samples, tol)
-        proj_diff = max_abs(span_projector(graph) - span_projector(sampled))
+        proj_diff = _span_gap(graph, sampled)
         assertions.append(
             _assertion(
                 "sampled-span-consistent",

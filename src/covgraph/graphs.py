@@ -173,14 +173,39 @@ def sampled_orbit_graph(
     )
 
 
+def _flat_basis(graph: OperatorGraph) -> np.ndarray:
+    """The basis flattened into the columns of an n^2-by-span_dim matrix."""
+    flat = np.array(graph.basis, dtype=complex)
+    return flat.reshape(graph.span_dim, graph.dim * graph.dim).T
+
+
 def span_projector(graph: OperatorGraph) -> np.ndarray:
     """Matrix of the HS-orthogonal projection onto the span, in flattened coordinates."""
-    n2 = graph.dim * graph.dim
-    proj = np.zeros((n2, n2), dtype=complex)
-    for b in graph.basis:
-        v = b.reshape(-1)
-        proj += np.outer(v, v.conj())
-    return proj
+    b = _flat_basis(graph)
+    return b @ adjoint(b)
+
+
+# entries per row block of the span gap: each block product takes 4 MiB
+_SPAN_GAP_BLOCK = 1 << 18
+
+
+def _span_gap(a: OperatorGraph, b: OperatorGraph) -> float:
+    """max_abs(span_projector(a) - span_projector(b)) without either projector.
+
+    The difference is [B_a, B_b] @ [B_a, -B_b]^dagger for the flattened
+    bases; it is formed one block of rows at a time, so no n^2-by-n^2 array
+    is held.  The difference is Hermitian, so each block needs only the
+    columns from its first row on.
+    """
+    flat_a, flat_b = _flat_basis(a), _flat_basis(b)
+    left = np.hstack([flat_a, flat_b])
+    right = adjoint(np.hstack([flat_a, -flat_b]))
+    n2 = left.shape[0]
+    rows = max(1, _SPAN_GAP_BLOCK // max(1, n2))
+    gap = 0.0
+    for start in range(0, n2, rows):
+        gap = max(gap, max_abs(left[start : start + rows] @ right[:, start:]))
+    return gap
 
 
 def is_operator_system(

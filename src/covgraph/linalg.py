@@ -1,10 +1,8 @@
 """Dense complex linear algebra over the Hilbert-Schmidt geometry.
 
 Everything here works on plain ``numpy`` arrays with complex entries;
-column vectors are either 1-D arrays or n-by-1 matrices.  The eigensolver
-is a cyclic Jacobi iteration with complex rotations: at the dimensions
-this package targets (a few dozen at most) it is exact to rounding and
-keeps the whole pipeline self-contained and easy to audit.
+column vectors are either 1-D arrays or n-by-1 matrices.  Eigenvalue and
+singular-value problems go to LAPACK through ``numpy.linalg``.
 """
 
 from __future__ import annotations
@@ -32,15 +30,14 @@ __all__ = [
     "fingerprint",
 ]
 
-JACOBI_MAX_SWEEPS = 100
-
-
 @dataclass(frozen=True)
 class Tolerance:
     """Numerical thresholds shared across the package.
 
-    ``eq_tol`` governs equality/residual checks, ``eig_tol`` the Jacobi
-    convergence target, ``degeneracy_tol`` the clustering of eigenphases.
+    ``eq_tol`` governs equality/residual checks, ``degeneracy_tol`` the
+    clustering of eigenphases.  ``eig_tol`` is kept for compatibility and
+    must not exceed ``eq_tol``, but no eigensolver reads it: LAPACK solves
+    to rounding without a convergence target.
     """
 
     eq_tol: float = 1e-10
@@ -147,67 +144,30 @@ def gram_schmidt_operators(
     return basis, len(basis), coeffs
 
 
-def _jacobi_rotate(m: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero m[p,q] (and m[q,p]) by a unitary 2x2 rotation, accumulated into v."""
-    b = m[p, q]
-    absb = abs(b)
-    if absb == 0.0:
-        return
-    phase = b / absb
-    theta = (m[q, q].real - m[p, p].real) / (2.0 * absb)
-    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    g = np.array([[c, s * phase], [-s * np.conj(phase), c]], dtype=complex)
-    cols = [p, q]
-    m[:, cols] = m[:, cols] @ g
-    m[cols, :] = g.conj().T @ m[cols, :]
-    v[:, cols] = v[:, cols] @ g
-    m[p, q] = 0.0
-    m[q, p] = 0.0
-    m[p, p] = m[p, p].real
-    m[q, q] = m[q, q].real
-
-
-def _off_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off))
+def _require_finite(a: np.ndarray) -> None:
+    # NaN compares false, so it would slip through every tolerance check
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input has non-finite entries")
 
 
 def eig_hermitian(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a Hermitian matrix (LAPACK, via numpy's eigh).
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    a @ V ~ V @ diag(eigenvalues).  Raises ValueError on non-Hermitian
-    input and ArithmeticError if the off-diagonal norm fails to reach
-    eig_tol * ||a|| within the sweep cap.
+    a @ V ~ V @ diag(eigenvalues).  Raises ValueError on non-square,
+    non-finite or non-Hermitian input; the Hermitian part (A + A^dagger)/2
+    is what gets diagonalized.
     """
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    _require_finite(a)
     if max_abs(a - adjoint(a)) > tol.eq_tol:
         raise ValueError("matrix is not Hermitian within eq_tol")
-    n = a.shape[0]
-    m = (a + adjoint(a)) / 2.0
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(m))
-    if n > 1 and scale > 0.0:
-        for _ in range(JACOBI_MAX_SWEEPS):
-            if _off_norm(m) <= tol.eig_tol * scale:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _jacobi_rotate(m, v, p, q)
-        else:
-            if _off_norm(m) > tol.eig_tol * scale:
-                raise ArithmeticError(
-                    f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-                )
-    eigvals = np.diag(m).real.copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+    eigvals, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    return eigvals, v
 
 
 def _cluster_sorted(values: np.ndarray, gap: float) -> list[list[int]]:
@@ -227,9 +187,9 @@ def spectral_projections_unitary(
     """Spectral resolution of a unitary: list of (eigenphase in [0, 2pi), projection).
 
     The commuting Hermitian pair C = (U+U^dagger)/2, S = (U-U^dagger)/(2i) is
-    diagonalized jointly: C first, then Jacobi of S restricted to each
-    degenerate eigenspace of C.  Eigenphases whose circular distance is at
-    most degeneracy_tol are merged into a single projection.
+    diagonalized jointly: C first, then S restricted to each degenerate
+    eigenspace of C.  Eigenphases whose circular distance is at most
+    degeneracy_tol are merged into a single projection.
     """
     u = _as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -280,19 +240,16 @@ def schmidt(
 
     ``v`` lives in the d_a*d_b-dimensional product space with lexicographic
     index d_b*i + j for |i>|j>.  The coefficients are the singular values of
-    the d_a-by-d_b reshaping, obtained from the eigenvalues of the d_a-by-d_a
-    Gram matrix; the entropy is in bits.
+    the d_a-by-d_b reshaping, in descending order; the entropy is in bits.
     """
     vec = _as_complex(v).reshape(-1)
     if vec.size != d_a * d_b:
         raise ValueError(f"vector length {vec.size} != {d_a}*{d_b}")
+    _require_finite(vec)
     norm = float(np.linalg.norm(vec))
     if not num_close(norm, 1.0, tol):
         raise ValueError(f"vector norm {norm} is not 1 within eq_tol")
-    m = vec.reshape(d_a, d_b)
-    gram = m @ adjoint(m)
-    eigvals, _ = eig_hermitian(gram, tol)
-    weights = np.clip(eigvals[::-1], 0.0, None)[: min(d_a, d_b)]
-    coeffs = np.sqrt(weights)
+    coeffs = np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False)
+    weights = coeffs * coeffs
     entropy = float(-sum(w * math.log2(w) for w in weights if w > 0.0))
     return coeffs, entropy

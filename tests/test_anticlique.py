@@ -22,6 +22,7 @@ from covgraph import (
     two_block_rep,
     verify_anticlique,
 )
+from covgraph.linalg import fingerprint
 from helpers import P_PLUS_4, random_offblock, random_projection
 
 
@@ -103,9 +104,14 @@ class TestVerifyAnticlique:
         skew = random_projection(rng, 4, 2)  # generic projection fails
         verdict = verify_anticlique(skew, graph)
         assert not verdict.passed
-        idx, digest = verdict.witness
-        assert 0 <= idx < graph.span_dim
-        assert isinstance(digest, str) and digest
+        residual_matrices = []
+        for a in graph.basis:
+            pap = skew @ a @ skew
+            residual_matrices.append(pap - (np.trace(pap) / 2) * skew)
+        residuals = [max_abs(r) for r in residual_matrices]
+        # ties go to the last index attaining the maximum
+        worst = max(i for i, r in enumerate(residuals) if r == max(residuals))
+        assert verdict.witness == (worst, fingerprint(residual_matrices[worst]))
 
     def test_scale_invariance(self, block_rep):
         rng = np.random.default_rng(3)

@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
+    OperatorGraph,
     adjoint,
     adjoint_closure_scalar,
     bell_rep,
@@ -21,6 +24,7 @@ from covgraph import (
     two_block_maximal_graph,
     two_block_rep,
 )
+from covgraph.graphs import _span_gap
 from helpers import P_PLUS_4, random_hermitian, random_offblock, subspace_projector_from_ops
 
 
@@ -131,6 +135,7 @@ class TestSampledOrbitGraph:
         assert sampled.span_dim == analytic.span_dim == 3
         diff = max_abs(span_projector(analytic) - span_projector(sampled))
         assert diff <= 1e-9
+        assert _span_gap(analytic, sampled) == pytest.approx(diff, abs=1e-12)
 
     def test_bell_seed_matches_analytic(self):
         rep = bell_rep(4)
@@ -150,6 +155,39 @@ class TestSampledOrbitGraph:
             [c.operator for c in frequency_components(block_rep, seed)]
         )
         assert max_abs(span_projector(graph) - oracle) <= 1e-9
+
+
+def _random_graph(rng, n, k, within=None):
+    """Graph with an HS-orthonormal basis of k random n-by-n operators; with
+    ``within``, the operators are drawn from that graph's span."""
+    if within is None:
+        flat = rng.normal(size=(n * n, k)) + 1j * rng.normal(size=(n * n, k))
+    else:
+        cols = np.array(within.basis).reshape(within.span_dim, n * n).T
+        mix = rng.normal(size=(within.span_dim, k)) + 1j * rng.normal(size=(within.span_dim, k))
+        flat = cols @ mix
+    q, _ = np.linalg.qr(flat)
+    return OperatorGraph(dim=n, basis=tuple(q[:, j].reshape(n, n) for j in range(k)))
+
+
+class TestSpanGap:
+    # n = 24 makes n^2 = 576 rows, more than one row block of the gap
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5, 24]),
+        k_a=st.integers(0, 6),
+        k_b=st.integers(0, 6),
+        nested=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_projector_difference(self, n, k_a, k_b, nested, seed):
+        rng = np.random.default_rng(seed)
+        k_a = min(k_a, n * n)
+        a = _random_graph(rng, n, k_a)
+        b = _random_graph(rng, n, min(k_b, k_a) if nested else min(k_b, n * n),
+                          within=a if nested else None)
+        expected = max_abs(span_projector(a) - span_projector(b))
+        assert abs(_span_gap(a, b) - expected) <= 1e-12
 
 
 class TestOperatorSystem:

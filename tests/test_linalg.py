@@ -1,4 +1,4 @@
-"""Matrix-core tests: HS inner product, operator Gram-Schmidt, the Jacobi
+"""Matrix-core tests: HS inner product, operator Gram-Schmidt, the Hermitian
 eigensolver, unitary spectral projections, and Schmidt analysis.
 
 Derived expectations come from independent oracles computed in the test:
@@ -148,6 +148,14 @@ class TestEigHermitian:
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes a "residual > tol" Hermitian check because it compares false
+        a = np.eye(3, dtype=complex)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_hermitian(a)
+
 
 class TestSpectralProjections:
     def test_identity(self):
@@ -202,10 +210,19 @@ class TestSchmidt:
         y = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = np.kron(x / np.linalg.norm(x), y / np.linalg.norm(y))
         coeffs, entropy = schmidt(v, 2, 2)
-        # the Gram route squares the reshaped matrix, so a vanishing
-        # coefficient is only resolved to sqrt(eigensolver noise)
-        assert np.allclose(coeffs, [1.0, 0.0], atol=1e-6)
+        assert np.allclose(coeffs, [1.0, 0.0], atol=1e-12)
         assert entropy == pytest.approx(0.0, abs=1e-10)
+
+    def test_resolves_small_coefficients(self):
+        # squaring the reshaped matrix (a Gram-matrix route) would bury
+        # coefficients below sqrt(rounding) ~ 1e-8 in noise
+        rng = np.random.default_rng(14)
+        true = np.array([math.sqrt(1.0 - 1e-16 - 1e-20), 1e-8, 1e-10])
+        u = random_unitary_givens(rng, 3)
+        w = random_unitary_givens(rng, 3)
+        v = (u @ np.diag(true) @ w.T).reshape(-1)
+        coeffs, _ = schmidt(v, 3, 3)
+        assert np.allclose(coeffs, true, rtol=1e-5, atol=1e-15)
 
     def test_bell_pair(self):
         v = np.zeros(4, dtype=complex)
@@ -236,6 +253,12 @@ class TestSchmidt:
             schmidt(np.ones(3), 2, 2)
         with pytest.raises(ValueError):
             schmidt(np.ones(4), 2, 2)  # norm 2, not 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        v = np.array([1.0, 0.0, 0.0, bad], dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            schmidt(v, 2, 2)
 
 
 class TestProjectionPredicate:
