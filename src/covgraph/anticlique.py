@@ -21,7 +21,6 @@ from .linalg import (
     Tolerance,
     fingerprint,
     is_projection,
-    max_abs,
     spectral_projections_unitary,
 )
 
@@ -80,25 +79,19 @@ def verify_anticlique(
     rank = int(round(np.trace(p).real))
     if rank == 0:
         raise ValueError("candidate projection has rank 0")
-    constants = []
-    max_residual = 0.0
-    worst = None  # (last index attaining max_residual, its residual matrix)
-    for idx, a in enumerate(graph.basis):
-        pap = p @ a @ p
-        c = np.trace(pap) / rank
-        constants.append(complex(c))
-        residual_matrix = pap - c * p
-        residual = max_abs(residual_matrix)
-        if residual >= max_residual:
-            max_residual = residual
-            worst = (idx, residual_matrix)
+    pap = p @ graph.basis @ p  # (P A) P for every basis element A at once
+    constants = np.trace(pap, axis1=1, axis2=2) / rank
+    pap -= constants[:, None, None] * p  # now the residual matrices
+    residuals = np.abs(pap).max(axis=(1, 2))  # the witness is the last maximal one
+    worst = len(residuals) - 1 - int(np.argmax(residuals[::-1])) if len(residuals) else None
+    max_residual = 0.0 if worst is None else float(residuals[worst])
     passed = max_residual <= tol.eq_tol and rank >= 2
     return AnticliqueVerdict(
         passed=passed,
-        constants=tuple(constants),
+        constants=tuple(constants.tolist()),
         max_residual=max_residual,
         code_dimension=rank,
-        witness=None if passed or worst is None else (worst[0], fingerprint(worst[1])),
+        witness=None if passed or worst is None else (worst, fingerprint(pap[worst])),
     )
 
 

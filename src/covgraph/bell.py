@@ -85,6 +85,7 @@ class BellCodeReport:
     contains_identity: bool
     adjoint_closed: bool
     identity_residual: float
+    adjoint_residual: float
     verdicts: tuple[AnticliqueVerdict, ...]  # one per P_s, s = 1..d
     passed: bool
 
@@ -117,6 +118,7 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
         contains_identity=system.contains_identity,
         adjoint_closed=system.adjoint_closed,
         identity_residual=system.identity_residual,
+        adjoint_residual=system.adjoint_residual,
         verdicts=verdicts,
         passed=passed,
     )

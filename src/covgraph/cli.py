@@ -96,20 +96,17 @@ def matrix_from_json(doc) -> np.ndarray:
         raise CliInputError(f"matrix document missing/invalid field: {exc}") from exc
     if rows < 1 or cols < 1:
         raise CliInputError("matrix dimensions must be positive")
-    if not isinstance(data, list) or len(data) != rows:
-        raise CliInputError(f"matrix data must have {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise CliInputError(f"matrix row {i} must have {cols} entries")
-        for j, entry in enumerate(row):
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise CliInputError(f"entry ({i},{j}) must be a [re, im] pair")
-            re_part, im_part = float(entry[0]), float(entry[1])
-            if not (math.isfinite(re_part) and math.isfinite(im_part)):
-                raise CliInputError(f"entry ({i},{j}) is not finite")
-            out[i, j] = complex(re_part, im_part)
-    return out
+    expected = f"matrix data must be {rows} rows of {cols} [re, im] pairs"
+    try:
+        pairs = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliInputError(f"{expected}: {exc}") from exc
+    if pairs.shape != (rows, cols, 2):
+        raise CliInputError(f"{expected}, got shape {pairs.shape}")
+    bad = np.argwhere(~np.isfinite(pairs).all(axis=2))  # null reads as NaN
+    if len(bad):
+        raise CliInputError(f"entry ({bad[0][0]},{bad[0][1]}) is not finite")
+    return pairs.view(complex)[..., 0]  # each [re, im] pair is one complex128
 
 
 def rep_from_json(doc) -> CircleRep:
@@ -346,7 +343,7 @@ def _cmd_bell(args) -> int:
         _assertion(
             "graph-contains-identity", result.contains_identity, result.identity_residual
         ),
-        _assertion("graph-adjoint-closed", result.adjoint_closed, 0.0),
+        _assertion("graph-adjoint-closed", result.adjoint_closed, result.adjoint_residual),
     ]
     for s, verdict in enumerate(result.verdicts, start=1):
         assertions.append(
@@ -375,7 +372,7 @@ def _cmd_verify(args) -> int:
     rep = rep_from_json(_load_json(args.rep))
     violations = rep.validate(tol)
     if violations:
-        worst = violations[0]
+        worst = max(violations, key=lambda v: v.residual)
         raise CliInputError(
             f"{worst.invariant} violation ({worst.detail}, residual {worst.residual:.3g})"
         )

@@ -26,6 +26,7 @@ from .linalg import (
     gram_schmidt_operators,
     hs_inner,
     hs_norm,
+    is_projection,
     max_abs,
 )
 
@@ -53,23 +54,32 @@ class FrequencyComponent:
 
 @dataclass(frozen=True)
 class OperatorGraph:
-    """HS-orthonormal basis of an operator span, with provenance metadata."""
+    """HS-orthonormal basis of an operator span as one (span_dim, dim, dim) array."""
 
     dim: int
-    basis: tuple[np.ndarray, ...]
+    basis: np.ndarray
     source: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        basis = np.asarray(self.basis, dtype=complex)
+        if basis.size == 0:
+            basis = basis.reshape(0, self.dim, self.dim)
+        if basis.shape[1:] != (self.dim, self.dim):
+            raise ValueError(f"expected {self.dim}x{self.dim} basis matrices, got {basis.shape}")
+        object.__setattr__(self, "basis", basis)
 
     @property
     def span_dim(self) -> int:
         return len(self.basis)
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection of a matrix onto the span of the basis."""
+        """HS-orthogonal projection onto the span of one matrix or a stack of them."""
         a = np.asarray(a, dtype=complex)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for b in self.basis:
-            out += hs_inner(b, a) * b
-        return out
+        if a.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"expected {self.dim}x{self.dim} matrices, got {a.shape}")
+        flat = _flat_basis(self)
+        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat).conj()  # <b_j, a>
+        return (coeffs @ flat.T).reshape(a.shape)
 
 
 class OperatorSystemCheck(NamedTuple):
@@ -82,10 +92,12 @@ class OperatorSystemCheck(NamedTuple):
 def frequency_components(
     rep: CircleRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[FrequencyComponent]:
-    """Nonzero components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m."""
+    """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, that are
+    nonzero relative to the seed: max_abs(A_m) > eq_tol * max_abs(seed)."""
     seed = np.asarray(seed, dtype=complex)
     if seed.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} matrix, got {seed.shape}")
+    cut = tol.eq_tol * max_abs(seed)
     acc: dict[int, np.ndarray] = {}
     for sj, pj in zip(rep.freqs, rep.projections):
         left = pj @ seed
@@ -99,18 +111,19 @@ def frequency_components(
     return [
         FrequencyComponent(m, acc[m])
         for m in sorted(acc)
-        if max_abs(acc[m]) > tol.eq_tol
+        if max_abs(acc[m]) > cut
     ]
 
 
 def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
-    if max_abs(seed - adjoint(seed)) > tol.eq_tol:
+    cut = tol.eq_tol * max_abs(seed)  # relative, so the verdict ignores the seed's scale
+    if max_abs(seed - adjoint(seed)) > cut:
         raise ValueError(
             "seed is not positive semidefinite (not Hermitian); "
             "pass allow_nonpositive=True to explore anyway"
         )
-    eigvals, _ = eig_hermitian(seed, tol)
-    if eigvals[0] < -tol.eq_tol:
+    eigvals, _ = eig_hermitian((seed + adjoint(seed)) / 2.0, tol)
+    if eigvals[0] < -cut:
         raise ValueError(
             f"seed is not positive semidefinite (min eigenvalue {eigvals[0]:.3g}); "
             "pass allow_nonpositive=True to explore anyway"
@@ -131,7 +144,7 @@ def orbit_graph(
     basis, _, _ = gram_schmidt_operators([c.operator for c in comps], tol)
     return OperatorGraph(
         dim=rep.dim,
-        basis=tuple(basis),
+        basis=basis,
         source={
             "method": "frequency-components",
             "freqs": rep.freqs,
@@ -163,7 +176,7 @@ def sampled_orbit_graph(
     basis, _, _ = gram_schmidt_operators(orbit, tol)
     return OperatorGraph(
         dim=rep.dim,
-        basis=tuple(basis),
+        basis=basis,
         source={
             "method": "sampled-orbit",
             "freqs": rep.freqs,
@@ -175,8 +188,7 @@ def sampled_orbit_graph(
 
 def _flat_basis(graph: OperatorGraph) -> np.ndarray:
     """The basis flattened into the columns of an n^2-by-span_dim matrix."""
-    flat = np.array(graph.basis, dtype=complex)
-    return flat.reshape(graph.span_dim, graph.dim * graph.dim).T
+    return graph.basis.reshape(graph.span_dim, graph.dim * graph.dim).T
 
 
 def span_projector(graph: OperatorGraph) -> np.ndarray:
@@ -214,10 +226,10 @@ def is_operator_system(
     """Check the two operator-system axioms: identity membership, adjoint closure."""
     eye = np.eye(graph.dim, dtype=complex)
     id_res = max_abs(eye - graph.project(eye))
-    adj_res = 0.0
-    for b in graph.basis:
-        ba = adjoint(b)
-        adj_res = max(adj_res, max_abs(ba - graph.project(ba)))
+    adjoints = np.conj(graph.basis.transpose(0, 2, 1), order="C")
+    residuals = graph.project(adjoints)
+    residuals -= adjoints
+    adj_res = max_abs(residuals)
     return OperatorSystemCheck(
         contains_identity=id_res <= tol.eq_tol,
         adjoint_closed=adj_res <= tol.eq_tol,
@@ -258,24 +270,19 @@ def adjoint_closure_scalar(
 def two_block_maximal_graph(
     p_plus: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorGraph:
-    """Largest span invariant under a two-block action: both blocks of the
-    diagonal plus the full off-block corner, h*P+ + q*P- + (off-block part)."""
+    """Largest span invariant under a two-block action, h*P+ + q*P- + (off-block
+    part): with eigenvectors u_a of P+ and w_b of P-, the basis is P+/sqrt(r),
+    P-/sqrt(n-r) (unless zero) and the matrix units |u_a><w_b|, |w_b><u_a|."""
     p_plus = np.asarray(p_plus, dtype=complex)
+    if not is_projection(p_plus, tol):
+        raise ValueError("p_plus is not an orthogonal projection within eq_tol")
     n = p_plus.shape[0]
-    p_minus = np.eye(n) - p_plus
-    generators = [p_plus, p_minus]
-    for i in range(n):
-        e_i = np.zeros((n, 1), dtype=complex)
-        e_i[i, 0] = 1.0
-        for j in range(n):
-            e_j = np.zeros((1, n), dtype=complex)
-            e_j[0, j] = 1.0
-            unit = e_i @ e_j
-            generators.append(p_plus @ unit @ p_minus)
-            generators.append(p_minus @ unit @ p_plus)
-    basis, _, _ = gram_schmidt_operators(generators, tol)
+    eigvals, v = eig_hermitian(p_plus, tol)
+    minus, plus = v[:, eigvals < 0.5], v[:, eigvals >= 0.5]
+    blocks = [w @ adjoint(w) / math.sqrt(w.shape[1]) for w in (plus, minus) if w.shape[1]]
+    corner = np.einsum("ia,jb->abij", plus, minus.conj()).reshape(-1, n, n)
     return OperatorGraph(
         dim=n,
-        basis=tuple(basis),
+        basis=np.concatenate([np.array(blocks), corner, corner.conj().transpose(0, 2, 1)]),
         source={"method": "two-block-maximal", "seed": fingerprint(p_plus)},
     )

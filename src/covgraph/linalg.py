@@ -74,15 +74,11 @@ def num_close(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
     return abs(x - y) <= tol.eq_tol * (1.0 + max(abs(x), abs(y)))
 
 
-def _require_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dagger B), conjugate-linear in A."""
     a, b = _as_complex(a), _as_complex(b)
-    _require_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
 
 
@@ -116,32 +112,35 @@ def fingerprint(a: np.ndarray, digits: int = 12) -> str:
 
 
 def gram_schmidt_operators(
-    ops: list[np.ndarray] | tuple[np.ndarray, ...],
+    ops: list[np.ndarray] | tuple[np.ndarray, ...] | np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[list[np.ndarray], int, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """Orthonormalize a family of same-shape operators in the HS inner product.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass.  A vector whose
-    residual after projection is <= eq_tol * max(1, ||input||) is dropped as
-    linearly dependent.  Returns (basis, rank, coefficients) where
-    coefficients[i, j] = <basis_j, ops_i> expands each input in the basis.
+    Gram-Schmidt in input order, projecting each input against the whole kept
+    block at once, twice.  An input whose residual is <= eq_tol * (largest
+    input norm) is dropped as dependent, so the rank ignores the overall scale.
+    Returns (basis, rank, coefficients): basis is a (rank, *shape) array and
+    ops_i = sum_j coefficients[i, j] basis_j, up to a dropped input's residual.
     """
-    ops = [_as_complex(op) for op in ops]
-    for op in ops[1:]:
-        _require_same_shape(ops[0], op)
-    basis: list[np.ndarray] = []
-    for op in ops:
-        v = op.copy()
+    work = np.array(ops, dtype=complex)  # one stacked copy, orthonormalized in place
+    k = len(work)
+    flat = work.reshape(k, math.prod(work.shape[1:]))
+    cut = tol.eq_tol * max(map(np.linalg.norm, flat), default=0.0)
+    coeffs = np.zeros((k, k), dtype=complex)
+    rank = 0
+    for i in range(k):
+        v, kept = flat[i], flat[:rank]
         for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for b in basis:
-                v = v - hs_inner(b, v) * b
-        r = hs_norm(v)
-        if r > tol.eq_tol * max(1.0, hs_norm(op)):
-            basis.append(v / r)
-    coeffs = np.array(
-        [[hs_inner(b, op) for b in basis] for op in ops], dtype=complex
-    ).reshape(len(ops), len(basis))
-    return basis, len(basis), coeffs
+            c = (kept @ v.conj()).conj()  # <b_j, v>
+            v -= c @ kept
+            coeffs[i, :rank] += c
+        r = float(np.linalg.norm(v))
+        if r > cut:
+            flat[rank] = v / r
+            coeffs[i, rank] = r
+            rank += 1
+    return work[:rank], rank, coeffs[:, :rank]
 
 
 def _require_finite(a: np.ndarray) -> None:

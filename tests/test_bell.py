@@ -13,6 +13,7 @@ from covgraph import (
     bell_rep,
     bell_state,
     first_factor_projection,
+    is_operator_system,
     max_abs,
     orbit_graph,
     schmidt,
@@ -141,6 +142,12 @@ class TestBellCodeReport:
             assert verdict.passed and verdict.code_dimension == 4
             nonzero = [c for c in verdict.constants if abs(c) > 1e-8]
             assert nonzero[0] == pytest.approx(0.25, abs=1e-10)
+
+    def test_carries_adjoint_residual(self):
+        report = bell_code_report(4, 3)
+        check = is_operator_system(report.graph)
+        assert report.adjoint_residual == check.adjoint_residual
+        assert report.adjoint_closed == (report.adjoint_residual <= 1e-10)
 
     def test_graph_dimension_counts_components(self):
         # frequencies 1..d give 2d-1 distinct differences, all present

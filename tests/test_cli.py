@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from covgraph import FamilyParams, family_projection, two_block_rep
+from covgraph import (
+    FamilyParams,
+    bell_code_report,
+    family_projection,
+    is_operator_system,
+    two_block_rep,
+)
 from covgraph.cli import (
+    CliInputError,
     canonical_dumps,
     main,
     matrix_from_json,
@@ -39,6 +47,16 @@ def instance_files(tmp_path):
     return paths
 
 
+def assert_verify_seed_exits_2(doc, instance_files, tmp_path, capsys):
+    """A malformed matrix document given as the seed is a usage error."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["verify", "--rep", instance_files["rep"], "--m0", str(path),
+            "--proj", instance_files["proj"]]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def run_json(capsys, argv):
     code = main(argv + ["--json"])
     out = capsys.readouterr().out
@@ -62,15 +80,32 @@ class TestSerialization:
     def test_keys_are_sorted(self):
         assert canonical_dumps({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
-    def test_rejects_nonfinite_entries(self):
-        doc = {"rows": 1, "cols": 1, "data": [[[float("nan"), 0.0]]]}
-        with pytest.raises(Exception, match="finite"):
+    @pytest.mark.parametrize(
+        "entry,where",
+        [([float("nan"), 0.0], "(1,0)"), ([0.0, None], "(1,0)"), ([float("inf"), 0.0], "(1,0)")],
+        ids=["nan", "null", "inf"],
+    )
+    def test_rejects_nonfinite_entries(self, entry, where, instance_files, tmp_path, capsys):
+        doc = {"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [0.0, 0.0]], [entry, [1.0, 0.0]]]}
+        with pytest.raises(CliInputError, match=re.escape(f"entry {where} is not finite")):
             matrix_from_json(doc)
+        assert_verify_seed_exits_2(doc, instance_files, tmp_path, capsys)
 
-    def test_rejects_ragged_data(self):
-        doc = {"rows": 2, "cols": 2, "data": [[[1.0, 0.0], [0.0, 0.0]]]}
-        with pytest.raises(Exception, match="rows"):
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [[[1.0, 0.0], [0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], ["one", 0.0]]],
+        ],
+        ids=["missing-row", "ragged-row", "three-element-entry", "string-entry"],
+    )
+    def test_rejects_ragged_data(self, data, instance_files, tmp_path, capsys):
+        doc = {"rows": 2, "cols": 2, "data": data}
+        with pytest.raises(CliInputError, match="rows"):
             matrix_from_json(doc)
+        assert_verify_seed_exits_2(doc, instance_files, tmp_path, capsys)
 
     def test_rep_roundtrip(self):
         rep = two_block_rep(P_PLUS_4)
@@ -163,6 +198,13 @@ class TestBell:
         assert code == 0
         assert sum(a["name"].startswith("anticlique") for a in report["assertions"]) == 5
 
+    def test_adjoint_residual_is_computed(self, capsys):
+        code, report = run_json(capsys, ["bell", "--dim", "3", "--j", "2"])
+        assert code == 0
+        closed = next(a for a in report["assertions"] if a["name"] == "graph-adjoint-closed")
+        expected = is_operator_system(bell_code_report(3, 2).graph).adjoint_residual
+        assert closed["residual"] == expected
+
     def test_dimension_one_exits_2(self, capsys):
         assert main(["bell", "--dim", "1", "--j", "1"]) == 2
 
@@ -212,6 +254,25 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert "violation" in err
+
+    def test_reports_worst_violation(self, instance_files, tmp_path, capsys):
+        # a small hermiticity error in projection 0, a completeness error of 1
+        p0 = np.diag([1.0, 0.0]).astype(complex)
+        p0[0, 1] = 2e-9
+        doc = {
+            "dim": 2,
+            "freqs": [1, -1],
+            "projections": [matrix_to_json(p0), matrix_to_json(np.zeros((2, 2)))],
+        }
+        path = tmp_path / "badrep.json"
+        path.write_text(canonical_dumps(doc), encoding="utf-8")
+        code = main(
+            ["verify", "--rep", str(path), "--m0", instance_files["m0"],
+             "--proj", instance_files["proj"]]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "completeness violation" in err and "residual 1)" in err
 
     def test_malformed_json_exits_2(self, instance_files, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    FamilyParams,
     OperatorGraph,
     adjoint,
     adjoint_closure_scalar,
     bell_rep,
+    family_projection,
     first_factor_projection,
     frequency_components,
     hs_inner,
@@ -23,9 +25,17 @@ from covgraph import (
     span_projector,
     two_block_maximal_graph,
     two_block_rep,
+    verify_anticlique,
 )
 from covgraph.graphs import _span_gap
-from helpers import P_PLUS_4, random_hermitian, random_offblock, subspace_projector_from_ops
+from helpers import (
+    P_PLUS_4,
+    SIGMA_X,
+    random_hermitian,
+    random_offblock,
+    random_projection,
+    subspace_projector_from_ops,
+)
 
 
 @pytest.fixture
@@ -78,6 +88,42 @@ class TestFrequencyComponents:
         comps = {c.freq: c.operator for c in
                  frequency_components(block_rep, two_block_seed(rng))}
         assert max_abs(comps[-2] - adjoint(comps[2])) <= 1e-12
+
+
+class TestStackedBasis:
+    def test_empty_and_tuple_inputs_normalize(self):
+        assert OperatorGraph(dim=3, basis=()).basis.shape == (0, 3, 3)
+        assert OperatorGraph(dim=3, basis=[]).basis.shape == (0, 3, 3)
+        graph = OperatorGraph(dim=2, basis=(np.eye(2) / np.sqrt(2), SIGMA_X / np.sqrt(2)))
+        assert graph.basis.shape == (2, 2, 2) and graph.basis.dtype == complex
+        assert graph.span_dim == 2
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValueError):
+            OperatorGraph(dim=3, basis=np.zeros((2, 2, 2)))
+        graph = OperatorGraph(dim=2, basis=[np.eye(2) / np.sqrt(2)])
+        with pytest.raises(ValueError):
+            graph.project(np.eye(3))
+
+    def test_project_on_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(15)
+        graph = _random_graph(rng, 3, 4)
+        stack = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        projected = graph.project(stack)
+        assert projected.shape == stack.shape
+        for a, pa in zip(stack, projected):
+            single = graph.project(a)
+            assert single.shape == (3, 3)
+            assert max_abs(pa - single) <= 1e-13
+            # reference: the per-element sum of <b, a> b
+            reference = sum(hs_inner(b, a) * b for b in graph.basis)
+            assert max_abs(single - reference) <= 1e-13
+
+    def test_empty_graph_projects_to_zero(self):
+        graph = OperatorGraph(dim=2, basis=())
+        assert max_abs(graph.project(np.eye(2))) == 0.0
+        check = is_operator_system(graph)
+        assert not check.contains_identity and check.adjoint_closed
 
 
 class TestOrbitGraph:
@@ -190,6 +236,33 @@ class TestSpanGap:
         assert abs(_span_gap(a, b) - expected) <= 1e-12
 
 
+class TestScaleInvariance:
+    # a family projection (codes pass) or a random PSD seed (codes fail)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.booleans(),
+        tau=st.floats(0.0, 0.5),
+        exponent=st.floats(-14.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_span_and_verdicts_ignore_seed_scale(self, family, tau, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rep = two_block_rep(P_PLUS_4)
+        if family:
+            z1, z2, z4 = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            m0 = family_projection(FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4))
+        else:
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m0 = a @ adjoint(a)
+            m0 = (m0 + adjoint(m0)) / 2.0
+        scale = 10.0**exponent
+        for build in (lambda m: orbit_graph(rep, m), lambda m: sampled_orbit_graph(rep, m, 5)):
+            base, scaled = build(m0), build(scale * m0)
+            assert scaled.span_dim == base.span_dim
+            for p in (P_PLUS_4, np.eye(4) - P_PLUS_4):
+                assert verify_anticlique(p, scaled).passed == verify_anticlique(p, base).passed
+
+
 class TestOperatorSystem:
     def test_identity_span(self, block_rep):
         graph = orbit_graph(block_rep, np.eye(4))
@@ -269,6 +342,33 @@ class TestMaximalGraph:
         # 2 block coefficients plus the full 2x2 + 2x2 off-block corner
         graph = two_block_maximal_graph(P_PLUS_4)
         assert graph.span_dim == 10
+
+    def test_dimension_of_random_rank_two_projection_in_c5(self):
+        rng = np.random.default_rng(16)
+        p = random_projection(rng, 5, 2)
+        graph = two_block_maximal_graph(p)
+        assert graph.span_dim == 2 + 2 * 2 * 3
+        gram = np.tensordot(graph.basis.conj(), graph.basis, axes=([1, 2], [1, 2]))
+        assert max_abs(gram - np.eye(graph.span_dim)) <= 1e-12
+        # the span holds both blocks and is invariant under the two-block action
+        rep = two_block_rep(p)
+        assert max_abs(p - graph.project(p)) <= 1e-12
+        for phi in rng.uniform(0, 2 * np.pi, size=3):
+            u = rep.unitary(phi)
+            conj = u @ graph.basis @ adjoint(u)
+            assert max_abs(conj - graph.project(conj)) <= 1e-12
+
+    @pytest.mark.parametrize("p", [np.zeros((3, 3)), np.eye(3)])
+    def test_trivial_projection_spans_the_identity(self, p):
+        graph = two_block_maximal_graph(p)
+        assert graph.span_dim == 1
+        assert is_operator_system(graph).contains_identity
+
+    def test_rejects_non_projection(self):
+        with pytest.raises(ValueError, match="projection"):
+            two_block_maximal_graph(0.5 * np.eye(4))
+        with pytest.raises(ValueError):
+            two_block_maximal_graph(np.ones((2, 3)))
 
     def test_contains_every_family_orbit_graph(self, block_rep):
         rng = np.random.default_rng(13)

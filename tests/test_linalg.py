@@ -93,6 +93,26 @@ class TestGramSchmidt:
             recon = sum(coeffs[i, j] * basis[j] for j in range(rank))
             assert max_abs(op - recon) <= 1e-9
 
+    def test_dependent_input_before_independent(self):
+        # a repeated input ahead of an independent one must not hide it
+        rng = np.random.default_rng(14)
+        a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+        basis, rank, coeffs = gram_schmidt_operators([a, a, b])
+        assert rank == 2
+        assert basis.shape == (2, 3, 3) and coeffs.shape == (3, 2)
+        in_span = np.tensordot(np.tensordot(basis.conj(), b, axes=2), basis, axes=1)
+        assert max_abs(b - in_span) <= 1e-12
+
+    def test_rank_ignores_overall_scale(self):
+        ops = [np.eye(2), SIGMA_X, SIGMA_Y, SIGMA_X + SIGMA_Y]
+        for scale in (1e-14, 1e-11, 1.0, 1e6):
+            _, rank, _ = gram_schmidt_operators([scale * op for op in ops])
+            assert rank == 3
+
+    def test_empty_input(self):
+        basis, rank, coeffs = gram_schmidt_operators([])
+        assert rank == 0 and len(basis) == 0 and coeffs.shape == (0, 0)
+
     def test_rank_matches_elimination_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(8):
