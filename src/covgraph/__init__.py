@@ -28,11 +28,13 @@ from .families import (
     BasisEntanglement,
     EntanglementReport,
     FamilyParams,
+    FamilyReport,
     TensorIdentification,
     corrected_identification,
     entanglement_report,
     family_params_from_matrix,
     family_projection,
+    family_report,
     spanning_vectors,
     tensor_identification,
 )
@@ -72,6 +74,7 @@ __all__ = [
     "DEFAULT_TOL",
     "EntanglementReport",
     "FamilyParams",
+    "FamilyReport",
     "FrequencyComponent",
     "MergedSpectrum",
     "OperatorGraph",
@@ -91,6 +94,7 @@ __all__ = [
     "entanglement_report",
     "family_params_from_matrix",
     "family_projection",
+    "family_report",
     "first_factor_projection",
     "frequency_components",
     "gram_schmidt_operators",

@@ -19,23 +19,18 @@ import sys
 
 import numpy as np
 
-from .anticlique import verify_anticlique
+from .anticlique import AnticliqueVerdict, verify_anticlique
 from .bell import bell_code_report
-from .circle import CircleRep, two_block_rep
-from .families import (
-    FamilyParams,
-    entanglement_report,
-    family_params_from_matrix,
-    family_projection,
-)
-from .graphs import _span_gap, is_operator_system, orbit_graph, sampled_orbit_graph
-from .linalg import DEFAULT_TOL, Tolerance, max_abs
+from .circle import CircleRep
+from .families import FamilyParams, family_report
+from .graphs import _span_gap, orbit_graph, sampled_orbit_graph
+from .linalg import DEFAULT_TOL, Tolerance
 
 REPORT_VERSION = "covgraph-report/1"
 SAMPLED_SPAN_TOL = 1e-8
 
 
-class CliInputError(Exception):
+class CliInputError(ValueError):
     """Bad usage or malformed input; maps to exit code 2."""
 
 
@@ -115,16 +110,14 @@ def rep_from_json(doc) -> CircleRep:
     try:
         dim = int(doc["dim"])
         freqs = [int(s) for s in doc["freqs"]]
-        projections = [matrix_from_json(p) for p in doc["projections"]]
+        projection_docs = list(doc["projections"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"representation document missing/invalid field: {exc}") from exc
+    projections = [matrix_from_json(p) for p in projection_docs]
     for p in projections:
         if p.shape != (dim, dim):
             raise CliInputError(f"projection shape {p.shape} does not match dim {dim}")
-    try:
-        return CircleRep(freqs=tuple(freqs), projections=tuple(projections))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    return CircleRep(freqs=tuple(freqs), projections=tuple(projections))
 
 
 def rep_to_json(rep: CircleRep) -> dict:
@@ -182,8 +175,8 @@ def resolve_tolerance(tol_flag: float | None) -> Tolerance:
                 raise CliInputError(f"COVGRAPH_TOL is not a float: {env!r}") from exc
     if eq_tol is None:
         return DEFAULT_TOL
-    if eq_tol < 0:
-        raise CliInputError("tolerance must be non-negative")
+    if not 0.0 < eq_tol < math.inf:
+        raise CliInputError(f"tolerance must be positive and finite, got {eq_tol}")
     return Tolerance(
         eq_tol=eq_tol,
         eig_tol=min(DEFAULT_TOL.eig_tol, eq_tol),
@@ -233,8 +226,23 @@ def _complex_pairs(values) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in values]
 
 
-def _emit(report: dict, as_json: bool) -> int:
-    if as_json:
+def _verdict_assertion(name: str, verdict: AnticliqueVerdict, passed: bool | None = None) -> dict:
+    """An anticlique verdict as an assertion; ``passed`` overrides its own flag."""
+    details = {
+        "code_dimension": verdict.code_dimension,
+        "constants": _complex_pairs(verdict.constants),
+    }
+    if not verdict.passed and verdict.code_dimension < 2:
+        details["reason"] = "code_dimension < 2"
+    return _assertion(
+        name, verdict.passed if passed is None else passed, verdict.max_residual, details
+    )
+
+
+def _emit(args, report: dict) -> int:
+    """Print the report of ``args.command``; exit code 0 iff every assertion passed."""
+    report = {"version": REPORT_VERSION, "command": args.command, **report}
+    if args.json:
         print(canonical_dumps(report))
     else:
         print(f"{report['command']}  inputs: {report['inputs']}")
@@ -253,54 +261,32 @@ def _emit(report: dict, as_json: bool) -> int:
 
 def _cmd_demo4(args) -> int:
     tol = resolve_tolerance(args.tol)
-    try:
-        params = FamilyParams(tau=args.tau, z1=args.z1, z2=args.z2, z4=args.z4, k=args.k)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    q = family_projection(params)
-    eye = np.eye(4)
-
-    assertions = []
-    idem = max_abs(q @ q - q)
-    assertions.append(_assertion("projection-idempotent", idem <= 1e-12, idem))
-    trace_dev = abs(np.trace(q).real - 2.0)
-    assertions.append(_assertion("projection-trace-2", trace_dev <= 1e-12, trace_dev))
-
-    complement_ok = family_params_from_matrix(eye - q, tol) is not None
-    assertions.append(_assertion("complement-in-family", complement_ok, 0.0))
-
-    p_plus = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    rep = two_block_rep(p_plus, tol)
-    graph = orbit_graph(rep, q, tol)
-    system = is_operator_system(graph, tol)
-    assertions.append(
+    result = family_report(FamilyParams(args.tau, args.z1, args.z2, args.z4, args.k), tol)
+    system = result.system
+    assertions = [
+        _assertion(
+            "projection-idempotent",
+            result.idempotence_residual <= tol.eq_tol,
+            result.idempotence_residual,
+        ),
+        _assertion(
+            "projection-trace-2", result.trace_residual <= tol.eq_tol, result.trace_residual
+        ),
+        _assertion(
+            "complement-in-family", result.complement_in_family, result.complement_residual
+        ),
         _assertion(
             "graph-contains-identity",
             system.contains_identity,
             system.identity_residual,
-            {"span_dim": graph.span_dim},
-        )
-    )
-    assertions.append(
-        _assertion("graph-adjoint-closed", system.adjoint_closed, system.adjoint_residual)
-    )
+            {"span_dim": result.graph.span_dim},
+        ),
+        _assertion("graph-adjoint-closed", system.adjoint_closed, system.adjoint_residual),
+        _verdict_assertion("anticlique-p-plus", result.verdict_plus),
+        _verdict_assertion("anticlique-p-minus", result.verdict_minus),
+    ]
 
-    verdict_plus = verify_anticlique(p_plus, graph, tol)
-    verdict_minus = verify_anticlique(eye - p_plus, graph, tol)
-    for name, verdict in (("anticlique-p-plus", verdict_plus), ("anticlique-p-minus", verdict_minus)):
-        assertions.append(
-            _assertion(
-                name,
-                verdict.passed,
-                verdict.max_residual,
-                {
-                    "code_dimension": verdict.code_dimension,
-                    "constants": _complex_pairs(verdict.constants),
-                },
-            )
-        )
-
-    ent = entanglement_report(params, tol)
+    ent = result.entanglement
     schmidt_block = {
         "corrected": {row.label: [float(c) for c in row.corrected_coefficients] for row in ent.rows},
         "corrected_entropy_bits": {row.label: row.corrected_entropy_bits for row in ent.rows},
@@ -308,30 +294,22 @@ def _cmd_demo4(args) -> int:
         "printed_entropy_bits": ent.rows[0].printed_entropy_bits,
         "discrepancy": {row.label: row.discrepancy for row in ent.rows},
         "boundary_separable": ent.boundary_separable,
-        "printed_prefactor_norm_deviation": (
-            ent.printed_prefactor_norm_deviation
-            if math.isfinite(ent.printed_prefactor_norm_deviation)
-            else None
-        ),
+        "printed_prefactor_norm_deviation": ent.printed_prefactor_norm_deviation,  # inf -> null
     }
 
     report = {
-        "version": REPORT_VERSION,
-        "command": "demo4",
         "inputs": {"tau": args.tau, "z1": args.z1, "z2": args.z2, "z4": args.z4, "k": args.k},
         "assertions": assertions,
-        "constants": _complex_pairs(verdict_plus.constants),
+        "constants": _complex_pairs(result.verdict_plus.constants),
         "schmidt": schmidt_block,
     }
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def _cmd_bell(args) -> int:
     tol = resolve_tolerance(args.tol)
     if args.dim < 2:
         raise CliInputError("dimension must be at least 2")
-    if not 1 <= args.j <= args.dim:
-        raise CliInputError(f"index j must lie in 1..{args.dim}")
     result = bell_code_report(args.dim, args.j, tol)
     assertions = [
         _assertion(
@@ -347,24 +325,16 @@ def _cmd_bell(args) -> int:
     ]
     for s, verdict in enumerate(result.verdicts, start=1):
         assertions.append(
-            _assertion(
-                f"anticlique-s-{s}",
-                verdict.passed and verdict.code_dimension == args.dim,
-                verdict.max_residual,
-                {
-                    "code_dimension": verdict.code_dimension,
-                    "constants": _complex_pairs(verdict.constants),
-                },
+            _verdict_assertion(
+                f"anticlique-s-{s}", verdict, verdict.passed and verdict.code_dimension == args.dim
             )
         )
     report = {
-        "version": REPORT_VERSION,
-        "command": "bell",
         "inputs": {"dim": args.dim, "j": args.j},
         "assertions": assertions,
         "constants": _complex_pairs(result.verdicts[0].constants),
     }
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def _cmd_verify(args) -> int:
@@ -379,10 +349,7 @@ def _cmd_verify(args) -> int:
     seed = matrix_from_json(_load_json(args.m0))
     candidate = matrix_from_json(_load_json(args.proj))
 
-    try:
-        graph = orbit_graph(rep, seed, tol, allow_nonpositive=args.allow_nonpositive)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    graph = orbit_graph(rep, seed, tol, allow_nonpositive=args.allow_nonpositive)
 
     assertions = []
     if args.samples is not None:
@@ -399,81 +366,55 @@ def _cmd_verify(args) -> int:
             )
         )
 
-    try:
-        verdict = verify_anticlique(candidate, graph, tol)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    details = {
-        "code_dimension": verdict.code_dimension,
-        "constants": _complex_pairs(verdict.constants),
-    }
-    if not verdict.passed and verdict.code_dimension < 2:
-        details["reason"] = "code_dimension < 2"
-    assertions.append(_assertion("anticlique", verdict.passed, verdict.max_residual, details))
+    verdict = verify_anticlique(candidate, graph, tol)
+    assertions.append(_verdict_assertion("anticlique", verdict))
 
     report = {
-        "version": REPORT_VERSION,
-        "command": "verify",
         "inputs": {"rep": args.rep, "m0": args.m0, "proj": args.proj, "samples": args.samples},
         "assertions": assertions,
         "constants": _complex_pairs(verdict.constants),
     }
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def _cmd_scan(args) -> int:
     tol = resolve_tolerance(args.tol)
     grid = parse_grid(args.grid)
     rng = np.random.default_rng(args.seed)
-    p_plus = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    rep = two_block_rep(p_plus, tol)
-    eye = np.eye(4)
-
     assertions = []
-    all_ok = True
     for i, tau in enumerate(grid):
         z1, z2, z4 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=3))
-        try:
-            params = FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=0)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
-        q = family_projection(params)
-        idem = max_abs(q @ q - q)
-        graph = orbit_graph(rep, q, tol)
-        verdict_plus = verify_anticlique(p_plus, graph, tol)
-        verdict_minus = verify_anticlique(eye - p_plus, graph, tol)
-        ent = entanglement_report(params, tol)
-        printed_entropy = ent.rows[0].printed_entropy_bits
-        point_ok = idem <= 1e-12 and verdict_plus.passed and verdict_minus.passed
-        all_ok = all_ok and point_ok
+        result = family_report(FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=0), tol)
+        plus, minus = result.verdict_plus, result.verdict_minus
+        row = result.entanglement.rows[0]
         assertions.append(
             _assertion(
                 f"point-{i}",
-                point_ok,
-                max(idem, verdict_plus.max_residual, verdict_minus.max_residual),
+                result.idempotence_residual <= tol.eq_tol and plus.passed and minus.passed,
+                max(result.idempotence_residual, plus.max_residual, minus.max_residual),
                 {
                     "tau": tau,
                     "z1": z1,
                     "z2": z2,
                     "z4": z4,
-                    "span_dim": graph.span_dim,
-                    "printed_entropy_bits": printed_entropy,
-                    "corrected_entropy_bits": ent.rows[0].corrected_entropy_bits,
-                    "max_entropy": abs(printed_entropy - 1.0) <= 1e-9,
-                    "boundary_separable": ent.boundary_separable,
+                    "span_dim": result.graph.span_dim,
+                    "printed_entropy_bits": row.printed_entropy_bits,
+                    "corrected_entropy_bits": row.corrected_entropy_bits,
+                    "max_entropy": abs(row.printed_entropy_bits - 1.0) <= 1e-9,
+                    "boundary_separable": result.entanglement.boundary_separable,
                 },
             )
         )
+    all_ok = all(item["passed"] for item in assertions)
+    worst = max(item["residual"] for item in assertions)
     assertions.append(
-        _assertion("aggregate", all_ok, 0.0, {"points": len(grid), "all_passed": all_ok})
+        _assertion("aggregate", all_ok, worst, {"points": len(grid), "all_passed": all_ok})
     )
     report = {
-        "version": REPORT_VERSION,
-        "command": "scan",
         "inputs": {"grid": args.grid, "seed": args.seed},
         "assertions": assertions,
     }
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +480,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

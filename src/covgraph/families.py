@@ -15,7 +15,8 @@ from Schmidt spectra.  The family is conventionally quoted with the
 closed-form Schmidt weight pair (1 - 4 tau^2, 4 tau^2); the report below
 carries that pair (the "printed" route) side by side with the spectrum
 computed from the column identification (the "corrected" route) and flags
-any disagreement instead of choosing.
+any disagreement instead of choosing.  ``family_report`` runs the whole
+two-block certification of one member.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .anticlique import AnticliqueVerdict, verify_anticlique
+from .circle import two_block_rep
+from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, adjoint, max_abs, num_close, schmidt
 
 __all__ = [
@@ -38,6 +42,8 @@ __all__ = [
     "tensor_identification",
     "corrected_identification",
     "entanglement_report",
+    "FamilyReport",
+    "family_report",
     "PRODUCT_LABELS",
 ]
 
@@ -45,6 +51,9 @@ __all__ = [
 PRODUCT_LABELS = ("xx", "xy", "yx", "yy")
 
 BASIS_LABELS = ("e+", "h+", "e-", "h-")
+
+# U_phi = exp(i phi) P_PLUS + exp(-i phi) (I - P_PLUS) is the two-block representation
+P_PLUS = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -124,8 +133,9 @@ def family_params_from_matrix(
     if not num_close(tau * tau + rho * rho, 0.25, tol):
         return None
     tau = min(max(tau, 0.0), 0.5)
-    if tau <= tol.eq_tol:  # corner reduces to the anti-diagonal pair
-        return FamilyParams(tau=0.0, z1=0.0, z2=_wrap_angle(np.angle(d)), z4=0.0, k=0)
+    if tau <= tol.eq_tol:  # corner reduces to d, q; this z1 makes z3 = arg q
+        z2 = float(np.angle(d))
+        return FamilyParams(tau=0.0, z1=_wrap_angle(np.angle(q) + z2 - math.pi), z2=_wrap_angle(z2))
     if rho <= tol.eq_tol:
         return FamilyParams(
             tau=0.5, z1=_wrap_angle(np.angle(a)), z2=0.0, z4=_wrap_angle(np.angle(b)), k=0
@@ -312,4 +322,45 @@ def entanglement_report(
         boundary_separable=boundary,
         printed_prefactor_norm_deviation=prefactor_deviation,
         identification=ident,
+    )
+
+
+@dataclass(frozen=True)
+class FamilyReport:
+    """Outcome of the two-block pipeline seeded by one family member Q."""
+
+    params: FamilyParams
+    idempotence_residual: float  # max_abs(Q^2 - Q)
+    trace_residual: float  # |tr Q - 2|
+    complement_in_family: bool  # parameters recovered from I - Q
+    complement_residual: float  # max_abs(projection of the recovered parameters - (I - Q))
+    graph: OperatorGraph  # orbit span of Q under the representation on P_PLUS
+    system: OperatorSystemCheck
+    verdict_plus: AnticliqueVerdict  # P_PLUS
+    verdict_minus: AnticliqueVerdict  # I - P_PLUS
+    entanglement: EntanglementReport
+
+
+def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyReport:
+    """Certify one member Q: a rank-2 projection whose complement round-trips
+    through ``family_params_from_matrix`` (residual inf if it does not), whose
+    orbit span is an operator system with anticliques P+ and P-, and the
+    Schmidt analysis of the basis vectors."""
+    q = family_projection(params)
+    complement = np.eye(4) - q
+    recovered = family_params_from_matrix(complement, tol)
+    graph = orbit_graph(two_block_rep(P_PLUS, tol), q, tol)
+    return FamilyReport(
+        params=params,
+        idempotence_residual=max_abs(q @ q - q),
+        trace_residual=abs(np.trace(q).real - 2.0),
+        complement_in_family=recovered is not None,
+        complement_residual=(
+            math.inf if recovered is None else max_abs(family_projection(recovered) - complement)
+        ),
+        graph=graph,
+        system=is_operator_system(graph, tol),
+        verdict_plus=verify_anticlique(P_PLUS, graph, tol),
+        verdict_minus=verify_anticlique(np.eye(4) - P_PLUS, graph, tol),
+        entanglement=entanglement_report(params, tol),
     )

@@ -252,15 +252,13 @@ def adjoint_closure_scalar(
     """
     if sorted(rep.freqs) != [-1, 1]:
         raise ValueError("adjoint_closure_scalar requires a two-block representation")
+    # F or G is zero when frequency_components drops it, a cut relative to the seed
     comps = {c.freq: c.operator for c in frequency_components(rep, seed, tol)}
-    zero = np.zeros((rep.dim, rep.dim), dtype=complex)
-    f = comps.get(2, zero)
-    g = comps.get(-2, zero)
-    f_star = adjoint(f)
-    denom = hs_inner(f_star, f_star).real
-    if denom <= tol.eq_tol**2:
-        return 0.0 if hs_norm(g) <= tol.eq_tol else None
-    h = hs_inner(f_star, g) / denom
+    if 2 not in comps:
+        return 0.0 if -2 not in comps else None
+    f_star = adjoint(comps[2])
+    g = comps.get(-2, np.zeros_like(f_star))
+    h = hs_inner(f_star, g) / hs_inner(f_star, f_star).real
     residual = hs_norm(g - h * f_star)
     if residual <= tol.eq_tol * hs_norm(g):
         return h

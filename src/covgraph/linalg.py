@@ -45,8 +45,8 @@ class Tolerance:
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
-        if min(self.eq_tol, self.eig_tol, self.degeneracy_tol) < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not all(0.0 <= t < math.inf for t in (self.eq_tol, self.eig_tol, self.degeneracy_tol)):
+            raise ValueError("tolerances must be finite and non-negative")
         if self.eq_tol < self.eig_tol:
             raise ValueError("eq_tol must be >= eig_tol")
 

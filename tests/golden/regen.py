@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from covgraph import bell_rep, family_projection, first_factor_projection, FamilyParams
+from covgraph import FamilyParams, bell_rep, family_projection, first_factor_projection
 from covgraph.cli import canonical_dumps, main, matrix_to_json
 
 HERE = Path(__file__).resolve().parent

@@ -14,6 +14,7 @@ from covgraph import (
     FamilyParams,
     bell_code_report,
     family_projection,
+    family_report,
     is_operator_system,
     two_block_rep,
 )
@@ -179,6 +180,13 @@ class TestDemo4:
         assert code == 0
         assert report["inputs"]["z1"] == pytest.approx(math.pi / 2)
 
+    def test_complement_residual_is_the_round_trip(self, capsys):
+        code, report = run_json(capsys, ["demo4", "--tau", "0", "--z1", "1", "--z4", "0.7"])
+        assert code == 0
+        item = next(a for a in report["assertions"] if a["name"] == "complement-in-family")
+        expected = family_report(FamilyParams(tau=0.0, z1=1.0, z4=0.7)).complement_residual
+        assert item["residual"] == expected <= 1e-15
+
     def test_invalid_tau_exits_2(self, capsys):
         assert main(["demo4", "--tau", "0.7"]) == 2
         assert "tau" in capsys.readouterr().err
@@ -341,9 +349,29 @@ class TestScan:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_aggregate_carries_worst_point_residual(self, capsys):
+        code, report = run_json(capsys, ["scan", "--grid", "0.05:0.45:9", "--seed", "2"])
+        assert code == 0
+        *points, aggregate = report["assertions"]
+        assert aggregate["residual"] == max(p["residual"] for p in points) > 0.0
+
     def test_empty_grid_exits_2(self, capsys):
         assert main(["scan", "--grid", " "]) == 2
         assert main(["scan", "--grid", ","]) == 2
+
+
+class TestTolerance:
+    # inf used to pass bell with span_dim 0; nan and 0 failed with unrelated messages
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_unusable_tolerance_exits_2(self, value, source, capsys, monkeypatch):
+        argv = ["bell", "--dim", "3", "--j", "1"]
+        if source == "flag":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv("COVGRAPH_TOL", value)
+        assert main(argv) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

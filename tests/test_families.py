@@ -12,7 +12,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import covgraph.families
 from covgraph import (
     FamilyParams,
     adjoint,
@@ -20,6 +23,8 @@ from covgraph import (
     entanglement_report,
     family_params_from_matrix,
     family_projection,
+    family_report,
+    is_operator_system,
     max_abs,
     orbit_graph,
     spanning_vectors,
@@ -118,6 +123,20 @@ class TestFamilyDetection:
             assert mags == pytest.approx(expected, abs=1e-12)
             assert max_abs(family_projection(recovered) - comp) <= 1e-10
 
+    # tau = 0 used to recover z1 = z4 = 0, which misses Q by 0.75 unless z1 + z4 = 0
+    @settings(max_examples=200, deadline=None)
+    @given(
+        tau=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
+        phases=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+        k=st.integers(-2, 2),
+    )
+    def test_roundtrip_reproduces_member_and_complement(self, tau, phases, k):
+        q = family_projection(FamilyParams(tau, *phases, k))
+        for m in (q, np.eye(4) - q):
+            recovered = family_params_from_matrix(m)
+            assert recovered is not None
+            assert max_abs(family_projection(recovered) - m) <= 1e-8
+
     def test_rejects_outside_family(self):
         assert family_params_from_matrix(np.eye(4)) is None
         m = family_projection(FamilyParams(tau=0.25))
@@ -150,6 +169,38 @@ class TestFamilyGraphs:
             nonzero = [c for c in verdict.constants if abs(c) > 1e-8]
             assert len(nonzero) == 1
             assert nonzero[0] == pytest.approx(0.5, abs=1e-10)
+
+
+class TestFamilyReport:
+    @pytest.mark.parametrize(
+        "params",
+        [FamilyParams(0.0, 1.0, 0.3, 0.7), FamilyParams(0.5, 0.4, 0.0, 2.0),
+         FamilyParams(0.1, 0.3, 1.1, 2.5, 1), FamilyParams(TAU_MAX_ENTANGLED)],
+    )
+    def test_matches_the_pipeline_step_by_step(self, params):
+        report = family_report(params)
+        q = family_projection(params)
+        graph = orbit_graph(two_block_rep(P_PLUS_4), q)
+        assert report.params == params
+        assert report.idempotence_residual == max_abs(q @ q - q) <= 1e-15
+        assert report.trace_residual <= 1e-15
+        assert report.complement_in_family and report.complement_residual <= 1e-15
+        assert np.array_equal(report.graph.basis, graph.basis) and graph.span_dim == 3
+        assert report.system == is_operator_system(graph)
+        assert report.system.contains_identity and report.system.adjoint_closed
+        for verdict, p in ((report.verdict_plus, P_PLUS_4), (report.verdict_minus, np.eye(4) - P_PLUS_4)):
+            assert verdict == verify_anticlique(p, graph)
+            assert verdict.passed and verdict.code_dimension == 2
+        assert report.entanglement.rows == entanglement_report(params).rows
+
+    def test_unrecovered_complement_reads_inf(self, monkeypatch):
+        # reject only I - Q, whose corner entry (0, 2) is -tau
+        recover = covgraph.families.family_params_from_matrix
+        monkeypatch.setattr(covgraph.families, "family_params_from_matrix",
+                            lambda m, tol: recover(m, tol) if m[0, 2].real > 0 else None)
+        report = family_report(FamilyParams(0.25))
+        assert not report.complement_in_family
+        assert report.complement_residual == math.inf
 
 
 class TestSpanningVectors:

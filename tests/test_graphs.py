@@ -311,6 +311,15 @@ class TestAdjointClosureScalar:
         h = adjoint_closure_scalar(block_rep, seed)
         assert h == pytest.approx(target, abs=1e-9)
 
+    # the zero tests follow frequency_components, so they move with the seed
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e6])
+    def test_scalar_ignores_seed_scale(self, block_rep, scale):
+        f = np.zeros((4, 4), dtype=complex)
+        f[0, 2], f[1, 3] = 1.0, 0.5j
+        seed = scale * (np.eye(4) + f + 2.0j * adjoint(f))
+        assert adjoint_closure_scalar(block_rep, seed) == pytest.approx(2.0j, abs=1e-12)
+        assert orbit_graph(block_rep, seed, allow_nonpositive=True).span_dim == 3
+
     def test_orthogonal_corners_fail(self, block_rep):
         # G orthogonal to F^dagger in the HS sense: no scalar exists
         f = np.zeros((4, 4), dtype=complex)

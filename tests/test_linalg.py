@@ -302,6 +302,12 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(eq_tol=-1.0)
 
+    @pytest.mark.parametrize("field", ["eq_tol", "eig_tol", "degeneracy_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            Tolerance(**{field: value})
+
     def test_rejects_eq_below_eig(self):
         with pytest.raises(ValueError):
             Tolerance(eq_tol=1e-14, eig_tol=1e-12)
