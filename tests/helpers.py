@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from covgraph import CircleRep
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -40,6 +42,22 @@ def random_projection(rng: np.random.Generator, n: int, rank: int) -> np.ndarray
     u = random_unitary_givens(rng, n)
     cols = u[:, :rank]
     return cols @ cols.conj().T
+
+
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Haar-distributed unitary: QR of a complex Gaussian matrix, with the
+    phases of R's diagonal moved into Q."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_rep(rng: np.random.Generator, n: int, freqs) -> CircleRep:
+    """Representation on C^n with one block per frequency: the blocks have
+    random positive ranks summing to n and are rotated by a Haar unitary."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=len(freqs) - 1, replace=False))
+    cols = np.split(haar_unitary(rng, n), cuts, axis=1)
+    return CircleRep(freqs=tuple(freqs), projections=tuple(c @ c.conj().T for c in cols))
 
 
 def random_offblock(rng: np.random.Generator) -> np.ndarray:

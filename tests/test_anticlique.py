@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
     CircleRep,
@@ -23,7 +25,15 @@ from covgraph import (
     verify_anticlique,
 )
 from covgraph.linalg import fingerprint
-from helpers import P_PLUS_4, random_offblock, random_projection
+from helpers import (
+    P_PLUS_4,
+    haar_unitary,
+    random_hermitian,
+    random_offblock,
+    random_projection,
+    random_rep,
+)
+from test_circle import FREQS
 
 
 @pytest.fixture
@@ -171,6 +181,38 @@ class TestVerifyAnticlique:
         bad = np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex) + 0.1 * s
         graph = graph_with_identity(bad)
         assert not verify_anticlique(P_PLUS_4, graph).passed
+
+
+class TestConjugationInvariance:
+    # a seed whose blocks compress to scalars makes every block a code;
+    # a random Hermitian seed makes none of them one
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, codes=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_span_and_verdicts_are_invariant(self, n, freqs, codes, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        m0 = random_hermitian(rng, n)
+        if codes:
+            m0 += np.eye(n) - sum(p @ m0 @ p for p in rep.projections)
+        v = haar_unitary(rng, n)
+        moved = CircleRep(rep.freqs, tuple(v @ p @ v.conj().T for p in rep.projections))
+        graph = orbit_graph(rep, m0, allow_nonpositive=True)
+        moved_graph = orbit_graph(moved, v @ m0 @ v.conj().T, allow_nonpositive=True)
+        assert moved_graph.span_dim == graph.span_dim
+
+        def outcome(verdict):
+            return verdict.passed, verdict.code_dimension
+
+        for p, q in zip(rep.projections, moved.projections):
+            assert outcome(verify_anticlique(q, moved_graph)) == outcome(verify_anticlique(p, graph))
+        # compared as sets per angle: an eigenphase at 0 may round to either end of [0, 2pi]
+        phis = [1.0] + [a.phi for a in merged_spectrum_angles(rep)[:2]]
+        spectral = [
+            sorted((r.phi, *outcome(r.verdict)) for r in anticliques_from_spectrum(u, g, phis))
+            for u, g in ((rep, graph), (moved, moved_graph))
+        ]
+        assert spectral[1] == spectral[0]
 
 
 class TestSpectralEnumeration:

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covgraph import (
     CircleRep,
@@ -14,7 +16,10 @@ from covgraph import (
     spectral_projections_unitary,
     two_block_rep,
 )
-from helpers import P_PLUS_4, random_hermitian, random_projection
+from helpers import P_PLUS_4, random_hermitian, random_projection, random_rep
+
+# distinct frequencies of both signs, at most four of them
+FREQS = st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True)
 
 
 @pytest.fixture
@@ -172,6 +177,19 @@ class TestHaarAverage:
     def test_rejects_zero_samples(self, block_rep):
         with pytest.raises(ValueError):
             block_rep.haar_average(np.eye(4), 0)
+
+
+class TestQuadratureProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, extra=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_haar_average_is_pinch_past_the_largest_difference(self, n, freqs, extra, seed):
+        rng = np.random.default_rng(seed)
+        freqs = freqs[:n]
+        rep = random_rep(rng, n, freqs)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        n_samples = max(freqs) - min(freqs) + 1 + extra
+        assert max_abs(rep.haar_average(a, n_samples) - rep.pinch(a)) <= 1e-12
 
 
 class TestCovariance:

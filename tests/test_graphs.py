@@ -34,8 +34,10 @@ from helpers import (
     random_hermitian,
     random_offblock,
     random_projection,
+    random_rep,
     subspace_projector_from_ops,
 )
+from test_circle import FREQS
 
 
 @pytest.fixture
@@ -192,6 +194,23 @@ class TestSampledOrbitGraph:
         assert analytic.span_dim == len(frequency_components(rep, seed))
         diff = max_abs(span_projector(analytic) - span_projector(sampled))
         assert diff <= 1e-8
+
+    # component frequencies differ by up to twice the largest frequency
+    # difference; more samples than that keep every component apart
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, extra=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_analytic_span_on_random_reps(self, n, freqs, extra, seed):
+        rng = np.random.default_rng(seed)
+        freqs = freqs[:n]
+        rep = random_rep(rng, n, freqs)
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m0 = a @ adjoint(a)
+        n_samples = 2 * (max(freqs) - min(freqs)) + 1 + extra
+        analytic = orbit_graph(rep, m0)
+        sampled = sampled_orbit_graph(rep, m0, n_samples)
+        assert sampled.span_dim == analytic.span_dim
+        assert _span_gap(analytic, sampled) <= 1e-8
 
     def test_span_projector_matches_svd_oracle(self, block_rep):
         rng = np.random.default_rng(7)
