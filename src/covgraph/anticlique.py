@@ -109,8 +109,7 @@ def anticliques_from_spectrum(
     if graph.dim != rep.dim:
         raise ValueError("graph and representation dimensions differ")
     results = []
-    for phi in phis:
-        u = rep.unitary(phi, tol)
+    for phi, u in zip(phis, rep.unitary(phis, tol)):  # one validation for all angles
         for eigenphase, proj in spectral_projections_unitary(u, tol):
             if int(round(np.trace(proj).real)) < 2:
                 continue

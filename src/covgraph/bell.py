@@ -12,6 +12,7 @@ that whole certification pipeline.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,48 +31,46 @@ __all__ = [
 ]
 
 
+def _bell_vectors(d: int) -> np.ndarray:
+    """All d*d generalized Bell vectors as a (d, d, d*d) array indexed [s-1, n-1]."""
+    if d < 2:
+        raise ValueError("dimension d must be at least 2")
+    k0 = np.arange(d)  # k - 1
+    n = np.arange(1, d + 1)[:, None]
+    support = d * k0 + (k0 - n) % d  # [n-1, k-1]: index of |k>|k - n mod d>
+    phases = np.exp(1j * (2 * np.pi * n * (k0 + 1) / d)) / np.sqrt(d)  # [s-1, k-1]
+    vecs = np.zeros((d, d, d * d), dtype=complex)
+    vecs[:, n - 1, support] = phases[:, None, :]
+    return vecs
+
+
 def bell_state(d: int, s: int, n: int) -> np.ndarray:
     """The generalized Bell vector psi_{s,n} in C^(d*d); the d*d of them are
     pairwise orthonormal."""
-    if d < 2:
-        raise ValueError("dimension d must be at least 2")
+    vecs = _bell_vectors(d)
     if not (1 <= s <= d and 1 <= n <= d):
         raise ValueError(f"indices s, n must lie in 1..{d}")
-    v = np.zeros(d * d, dtype=complex)
-    for k0 in range(d):  # k0 = k - 1
-        j0 = (k0 - n) % d  # 0-based second-factor index of |k - n mod d>
-        v[d * k0 + j0] = np.exp(2j * np.pi * s * (k0 + 1) / d)
-    return v / np.sqrt(d)
+    return vecs[s - 1, n - 1]
 
 
+@functools.lru_cache(maxsize=8)
 def bell_rep(d: int) -> CircleRep:
     """Circle representation with frequencies 1..d and P_s spanning the d
-    Bell vectors psi_{s,1..d}."""
-    if d < 2:
-        raise ValueError("dimension d must be at least 2")
-    projections = []
-    for s in range(1, d + 1):
-        p = np.zeros((d * d, d * d), dtype=complex)
-        for n in range(1, d + 1):
-            v = bell_state(d, s, n)
-            p += np.outer(v, v.conj())
-        projections.append(p)
-    return CircleRep(freqs=tuple(range(1, d + 1)), projections=tuple(projections))
+    Bell vectors psi_{s,1..d}.  Cached per d and read-only: rebuilding the
+    stack per report made the heap grow and shrink around each check at d = 8."""
+    vecs = _bell_vectors(d)
+    projections = vecs.transpose(0, 2, 1) @ vecs.conj()  # P_s = sum_n |psi_sn><psi_sn|
+    projections.flags.writeable = False
+    return CircleRep(freqs=tuple(range(1, d + 1)), projections=projections)
 
 
 def first_factor_projection(d: int, j: int) -> np.ndarray:
-    """Rank-d projection onto |j> (x) C^d, built from the defining sum of
-    product-basis outer products."""
+    """Rank-d projection onto |j> (x) C^d, the Kronecker product E_jj (x) I_d."""
     if d < 2:
         raise ValueError("dimension d must be at least 2")
     if not 1 <= j <= d:
         raise ValueError(f"index j must lie in 1..{d}")
-    p = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(1, d + 1):
-        v = np.zeros(d * d, dtype=complex)
-        v[d * (j - 1) + (j - k) % d] = 1.0
-        p += np.outer(v, v.conj())
-    return p
+    return np.kron(np.diag(np.arange(1, d + 1) == j), np.eye(d, dtype=complex))
 
 
 @dataclass(frozen=True)

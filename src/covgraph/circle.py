@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, is_projection, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, is_projection, max_abs
 
 __all__ = ["CircleRep", "RepViolation", "two_block_rep"]
 
@@ -31,28 +31,34 @@ class RepViolation:
 
 @dataclass(frozen=True)
 class CircleRep:
+    """Frequencies s_j and their projections P_j as one (k, n, n) complex array."""
+
     freqs: tuple[int, ...]
-    projections: tuple[np.ndarray, ...]
+    projections: np.ndarray
 
     def __post_init__(self):
         freqs = tuple(int(s) for s in self.freqs)
-        projs = tuple(np.asarray(p, dtype=complex) for p in self.projections)
-        if len(freqs) != len(projs) or not freqs:
+        if len(freqs) != len(self.projections) or not freqs:
             raise ValueError("freqs and projections must be non-empty and equal-length")
         if len(set(freqs)) != len(freqs):
             raise ValueError(
                 "repeated frequency: merge projections sharing a frequency into one"
             )
-        dim = projs[0].shape[0]
-        for p in projs:
-            if p.ndim != 2 or p.shape != (dim, dim):
-                raise ValueError("projections must be square matrices of equal size")
+        try:
+            projs = np.asarray(self.projections, dtype=complex)
+        except ValueError:  # ragged input
+            projs = None
+        if projs is None or projs.ndim != 3 or projs.shape[1] != projs.shape[2]:
+            raise ValueError("projections must be square matrices of equal size")
+        # NaN compares false, so it would pass every invariant check
+        if not np.isfinite(projs).all():
+            raise ValueError("projections have non-finite entries")
         object.__setattr__(self, "freqs", freqs)
         object.__setattr__(self, "projections", projs)
 
     @property
     def dim(self) -> int:
-        return self.projections[0].shape[0]
+        return self.projections.shape[1]
 
     @property
     def max_freq(self) -> int:
@@ -60,22 +66,21 @@ class CircleRep:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> list[RepViolation]:
         """Check projection/orthogonality/completeness invariants; empty list iff valid."""
-        violations = []
-        for j, p in enumerate(self.projections):
-            r = max_abs(p - adjoint(p))
-            if r > tol.eq_tol:
-                violations.append(RepViolation("hermiticity", f"projection {j}", r))
-            r = max_abs(p @ p - p)
-            if r > tol.eq_tol:
-                violations.append(RepViolation("idempotence", f"projection {j}", r))
-        for j in range(len(self.projections)):
-            for k in range(j + 1, len(self.projections)):
-                r = max_abs(self.projections[j] @ self.projections[k])
-                if r > tol.eq_tol:
-                    violations.append(
-                        RepViolation("orthogonality", f"projections {j},{k}", r)
-                    )
-        r = max_abs(sum(self.projections) - np.eye(self.dim))
+        p = self.projections
+        # [hermiticity, idempotence] residual of each projection, reported row by row
+        own = np.stack([np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
+                        np.abs(p @ p - p).max(axis=(1, 2))], axis=1)
+        violations = [
+            RepViolation(("hermiticity", "idempotence")[i], f"projection {j}", float(own[j, i]))
+            for j, i in np.argwhere(own > tol.eq_tol)
+        ]
+        for j in range(len(p) - 1):  # P_j against every later P_k, one row at a time
+            orth = np.abs(p[j] @ p[j + 1 :]).max(axis=(1, 2))
+            violations += [
+                RepViolation("orthogonality", f"projections {j},{j + 1 + k}", float(orth[k]))
+                for k in np.flatnonzero(orth > tol.eq_tol)
+            ]
+        r = max_abs(p.sum(axis=0) - np.eye(self.dim))
         if r > tol.eq_tol:
             violations.append(RepViolation("completeness", "sum of projections", r))
         return violations
@@ -83,14 +88,13 @@ class CircleRep:
     def is_valid(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return not self.validate(tol)
 
-    def _unitary(self, phi: float) -> np.ndarray:
-        u = np.zeros((self.dim, self.dim), dtype=complex)
-        for s, p in zip(self.freqs, self.projections):
-            u += np.exp(1j * s * phi) * p
-        return u
+    def _unitary(self, phi: float | np.ndarray) -> np.ndarray:
+        phases = np.exp(1j * np.multiply.outer(phi, self.freqs))
+        return np.tensordot(phases, self.projections, axes=1)
 
-    def unitary(self, phi: float, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """The representation unitary at angle phi; requires a valid representation."""
+    def unitary(self, phi: float | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """The representation unitary at angle phi, or one per angle for an
+        array of angles; requires a valid representation."""
         bad = self.validate(tol)
         if bad:
             worst = max(bad, key=lambda v: v.residual)
@@ -105,10 +109,7 @@ class CircleRep:
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {a.shape}")
-        out = np.zeros_like(a)
-        for p in self.projections:
-            out += p @ a @ p
-        return out
+        return (self.projections @ a @ self.projections).sum(axis=0)
 
     def haar_average(self, a: np.ndarray, n_samples: int) -> np.ndarray:
         """Uniform quadrature (1/N) sum_k U_{2pi k/N} A U_{2pi k/N}^dagger.
@@ -121,11 +122,8 @@ class CircleRep:
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {a.shape}")
         if n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        acc = np.zeros_like(a)
-        for k in range(n_samples):
-            u = self._unitary(2.0 * math.pi * k / n_samples)
-            acc += u @ a @ adjoint(u)
-        return acc / n_samples
+        u = self._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
+        return (u @ a @ u.conj().transpose(0, 2, 1)).sum(axis=0) / n_samples
 
 
 def two_block_rep(p_plus: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CircleRep:

@@ -146,21 +146,22 @@ _PI_PATTERN = re.compile(r"(?i)^([+-]?(?:\d+\.?\d*|\.\d+)?)\*?pi(?:/([+-]?(?:\d+
 
 
 def parse_angle(text: str) -> float:
-    """Radians; accepts pi literals such as 'pi', '-pi', 'pi/2', '2pi/3'."""
+    """Finite radians; accepts pi literals such as 'pi', '-pi', 'pi/2', '2pi/3'."""
     t = text.strip().replace(" ", "")
     match = _PI_PATTERN.match(t)
-    if match is None:
-        try:
-            return float(t)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
-    coef_text, denom_text = match.group(1), match.group(2)
-    coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_text)
-    if coef is None:
-        coef = float(coef_text)
-    value = coef * math.pi
-    if denom_text:
-        value /= float(denom_text)
+    try:
+        if match is None:
+            value = float(t)
+        else:
+            coef_text, denom_text = match.group(1), match.group(2)
+            coef = {"": 1.0, "+": 1.0, "-": -1.0}.get(coef_text) or float(coef_text)
+            value = coef * math.pi / float(denom_text or 1.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot parse angle {text!r}") from exc
+    except ZeroDivisionError as exc:
+        raise argparse.ArgumentTypeError(f"angle {text!r} divides by zero") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
     return value
 
 

@@ -20,6 +20,7 @@ from .circle import CircleRep
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    _require_finite,
     adjoint,
     eig_hermitian,
     fingerprint,
@@ -97,6 +98,7 @@ def frequency_components(
     seed = np.asarray(seed, dtype=complex)
     if seed.shape != (rep.dim, rep.dim):
         raise ValueError(f"expected a {rep.dim}x{rep.dim} matrix, got {seed.shape}")
+    _require_finite(seed)  # a NaN cut would drop every component
     cut = tol.eq_tol * max_abs(seed)
     acc: dict[int, np.ndarray] = {}
     for sj, pj in zip(rep.freqs, rep.projections):
@@ -169,11 +171,8 @@ def sampled_orbit_graph(
         raise ValueError(f"expected a {rep.dim}x{rep.dim} matrix, got {seed.shape}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    orbit = []
-    for k in range(n_samples):
-        u = rep._unitary(2.0 * math.pi * k / n_samples)
-        orbit.append(u @ seed @ adjoint(u))
-    basis, _, _ = gram_schmidt_operators(orbit, tol)
+    u = rep._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
+    basis, _, _ = gram_schmidt_operators(u @ seed @ u.conj().transpose(0, 2, 1), tol)
     return OperatorGraph(
         dim=rep.dim,
         basis=basis,
@@ -252,6 +251,7 @@ def adjoint_closure_scalar(
     """
     if sorted(rep.freqs) != [-1, 1]:
         raise ValueError("adjoint_closure_scalar requires a two-block representation")
+    seed = np.divide(seed, max_abs(seed) or 1.0)  # so that |F|^2 neither underflows nor overflows
     # F or G is zero when frequency_components drops it, a cut relative to the seed
     comps = {c.freq: c.operator for c in frequency_components(rep, seed, tol)}
     if 2 not in comps:

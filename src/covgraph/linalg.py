@@ -118,12 +118,16 @@ def gram_schmidt_operators(
     """Orthonormalize a family of same-shape operators in the HS inner product.
 
     Gram-Schmidt in input order, projecting each input against the whole kept
-    block at once, twice.  An input whose residual is <= eq_tol * (largest
-    input norm) is dropped as dependent, so the rank ignores the overall scale.
+    block at once, twice, on a copy divided by its largest entry.  An input
+    whose residual is <= eq_tol * (largest input norm) is dropped as dependent,
+    so the rank ignores the overall scale.  Raises ValueError on non-finite input.
     Returns (basis, rank, coefficients): basis is a (rank, *shape) array and
     ops_i = sum_j coefficients[i, j] basis_j, up to a dropped input's residual.
     """
     work = np.array(ops, dtype=complex)  # one stacked copy, orthonormalized in place
+    _require_finite(work)
+    scale = max_abs(work) or 1.0
+    work /= scale  # so that no norm underflows or overflows
     k = len(work)
     flat = work.reshape(k, math.prod(work.shape[1:]))
     cut = tol.eq_tol * max(map(np.linalg.norm, flat), default=0.0)
@@ -140,7 +144,7 @@ def gram_schmidt_operators(
             flat[rank] = v / r
             coeffs[i, rank] = r
             rank += 1
-    return work[:rank], rank, coeffs[:, :rank]
+    return work[:rank], rank, coeffs[:, :rank] * scale
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -206,12 +210,8 @@ def spectral_projections_unitary(
             sub = (sub + adjoint(sub)) / 2.0
             _, y = eig_hermitian(sub, tol)
             v[:, group] = w @ y
-    phases = np.empty(n)
-    for i in range(n):
-        vec = v[:, i]
-        phases[i] = math.atan2(
-            np.vdot(vec, s @ vec).real, np.vdot(vec, c @ vec).real
-        ) % (2.0 * math.pi)
+    # <v|U|v> = <v|C|v> + i <v|S|v> for each eigenvector v
+    phases = np.angle(np.einsum("ij,ij->j", v.conj(), u @ v)) % (2.0 * math.pi)
 
     order = np.argsort(phases, kind="stable")
     clusters = _cluster_sorted(phases[order], tol.degeneracy_tol)
@@ -223,8 +223,8 @@ def spectral_projections_unitary(
 
     result = []
     for cluster in clusters:
-        idx = [order[i] for i in cluster]
-        z = sum(np.exp(1j * phases[i]) for i in idx)
+        idx = order[cluster]
+        z = np.exp(1j * phases[idx]).sum()
         phase = float(np.angle(z) % (2.0 * math.pi))
         proj = v[:, idx] @ adjoint(v[:, idx])
         result.append((phase, (proj + adjoint(proj)) / 2.0))

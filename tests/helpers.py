@@ -5,6 +5,7 @@ library's own routines."""
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from covgraph import CircleRep
 
@@ -50,6 +51,10 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# distinct frequencies of both signs for random_rep, at most four of them
+FREQS = st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True)
 
 
 def random_rep(rng: np.random.Generator, n: int, freqs) -> CircleRep:

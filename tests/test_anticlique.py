@@ -26,6 +26,7 @@ from covgraph import (
 )
 from covgraph.linalg import fingerprint
 from helpers import (
+    FREQS,
     P_PLUS_4,
     haar_unitary,
     random_hermitian,
@@ -33,7 +34,6 @@ from helpers import (
     random_projection,
     random_rep,
 )
-from test_circle import FREQS
 
 
 @pytest.fixture

@@ -71,6 +71,12 @@ class TestBellRep:
         for p in rep.projections:
             assert round(np.trace(p).real) == 3
 
+    def test_is_shared_and_read_only(self):
+        rep = bell_rep(4)
+        assert bell_rep(4) is rep
+        with pytest.raises(ValueError):
+            rep.projections[0, 0, 0] = 0.0
+
     def test_d5_pinch_preserves_trace(self):
         rng = np.random.default_rng(0)
         rep = bell_rep(5)

@@ -16,15 +16,54 @@ from covgraph import (
     spectral_projections_unitary,
     two_block_rep,
 )
-from helpers import P_PLUS_4, random_hermitian, random_projection, random_rep
-
-# distinct frequencies of both signs, at most four of them
-FREQS = st.lists(st.integers(-6, 6), min_size=1, max_size=4, unique=True)
+from helpers import FREQS, P_PLUS_4, random_hermitian, random_projection, random_rep
 
 
 @pytest.fixture
 def block_rep():
     return two_block_rep(P_PLUS_4)
+
+
+class TestStackedRep:
+    def test_tuple_list_and_array_inputs_normalize(self):
+        p_minus = np.eye(4) - P_PLUS_4
+        for projections in ((P_PLUS_4, p_minus), [P_PLUS_4, p_minus],
+                            np.array([P_PLUS_4, p_minus]).real):
+            rep = CircleRep(freqs=(1, -1), projections=projections)
+            assert rep.projections.shape == (2, 4, 4)
+            assert rep.projections.dtype == complex
+            assert rep.dim == 4
+
+    @pytest.mark.parametrize("projections", [
+        (np.eye(2), np.eye(3)),
+        (np.eye(2), np.zeros(2)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.zeros(3), np.zeros(3)),
+    ])
+    def test_ragged_or_non_square_input_is_rejected(self, projections):
+        with pytest.raises(ValueError, match="square matrices of equal size"):
+            CircleRep(freqs=(1, -1), projections=projections)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # NaN used to pass every invariant, so the rep was reported valid
+        p = P_PLUS_4.copy()
+        p[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CircleRep(freqs=(1, -1), projections=(p, np.eye(4) - P_PLUS_4))
+
+    def test_stacked_operations_match_per_projection_sums(self):
+        rng = np.random.default_rng(10)
+        rep = random_rep(rng, 5, [3, -1, 0])
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        assert max_abs(rep.pinch(a) - sum(p @ a @ p for p in rep.projections)) <= 1e-14
+        phis = rng.uniform(0.0, 2.0 * np.pi, size=4)
+        stack = rep.unitary(phis)
+        assert stack.shape == (4, 5, 5)
+        for phi, u in zip(phis, stack):
+            reference = sum(np.exp(1j * s * phi) * p for s, p in zip(rep.freqs, rep.projections))
+            assert max_abs(u - reference) <= 1e-14
+            assert max_abs(rep.unitary(phi) - reference) <= 1e-14
 
 
 class TestValidate:

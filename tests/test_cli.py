@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +142,18 @@ class TestParseAngle:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_angle("two pies")
 
+    # a zero denominator used to raise ZeroDivisionError inside argparse (exit 1)
+    @pytest.mark.parametrize("text", ["pi/0", "0pi/0", "2pi/0.0", "nan", "inf", "1e400"])
+    def test_zero_denominator_and_non_finite_are_usage_errors(self, text, capsys):
+        import argparse
+
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_angle(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["demo4", "--tau", "0.1", "--z1", text])
+        assert exc.value.code == 2
+        assert "--z1" in capsys.readouterr().err
+
 
 class TestDemo4:
     def test_passes_and_reports(self, capsys):
@@ -232,6 +245,23 @@ class TestVerify:
         assert by_name["sampled-span-consistent"]["passed"]
         assert by_name["sampled-span-consistent"]["details"]["analytic_dim"] == 3
         assert by_name["anticlique"]["passed"]
+
+    # span 0 certified every candidate when the seed norms under- or overflowed
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scaled_failing_seed_still_fails(self, scale, tmp_path, capsys):
+        inputs = Path(__file__).parent / "golden" / "inputs"
+        seed = matrix_from_json(json.loads((inputs / "psd6_m0.json").read_text()))
+        path = tmp_path / "m0.json"
+        path.write_text(canonical_dumps(matrix_to_json(scale * seed)), encoding="utf-8")
+        code, report = run_json(
+            capsys,
+            ["verify", "--rep", str(inputs / "psd6_rep.json"), "--m0", str(path),
+             "--proj", str(inputs / "psd6_proj.json"), "--samples", "11"],
+        )
+        assert code == 1
+        by_name = {a["name"]: a for a in report["assertions"]}
+        assert by_name["sampled-span-consistent"]["details"] == {"analytic_dim": 7, "sampled_dim": 7}
+        assert not by_name["anticlique"]["passed"]
 
     def test_rank_one_candidate_exits_1(self, instance_files, tmp_path, capsys):
         p = np.zeros((4, 4), dtype=complex)

@@ -29,6 +29,7 @@ from covgraph import (
 )
 from covgraph.graphs import _span_gap
 from helpers import (
+    FREQS,
     P_PLUS_4,
     SIGMA_X,
     random_hermitian,
@@ -37,7 +38,6 @@ from helpers import (
     random_rep,
     subspace_projector_from_ops,
 )
-from test_circle import FREQS
 
 
 @pytest.fixture
@@ -90,6 +90,26 @@ class TestFrequencyComponents:
         comps = {c.freq: c.operator for c in
                  frequency_components(block_rep, two_block_seed(rng))}
         assert max_abs(comps[-2] - adjoint(comps[2])) <= 1e-12
+
+
+class TestNonFiniteSeed:
+    # a NaN seed used to give span 0: every relative cut was NaN
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_frequency_components_rejects(self, block_rep, bad):
+        seed = np.eye(4, dtype=complex)
+        seed[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            frequency_components(block_rep, seed)
+
+    def test_orbit_graph_rejects(self, block_rep):
+        with pytest.raises(ValueError, match="non-finite"):
+            orbit_graph(block_rep, np.full((4, 4), np.nan), allow_nonpositive=True)
+
+    def test_sampled_orbit_graph_rejects(self, block_rep):
+        seed = np.eye(4, dtype=complex)
+        seed[0, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sampled_orbit_graph(block_rep, seed, 5)
 
 
 class TestStackedBasis:
@@ -261,7 +281,7 @@ class TestScaleInvariance:
     @given(
         family=st.booleans(),
         tau=st.floats(0.0, 0.5),
-        exponent=st.floats(-14.0, 6.0),
+        exponent=st.floats(-300.0, 300.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_span_and_verdicts_ignore_seed_scale(self, family, tau, exponent, seed):
@@ -331,7 +351,7 @@ class TestAdjointClosureScalar:
         assert h == pytest.approx(target, abs=1e-9)
 
     # the zero tests follow frequency_components, so they move with the seed
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e6])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e6, 1e-300, 1e300])
     def test_scalar_ignores_seed_scale(self, block_rep, scale):
         f = np.zeros((4, 4), dtype=complex)
         f[0, 2], f[1, 3] = 1.0, 0.5j

@@ -109,6 +109,20 @@ class TestGramSchmidt:
             _, rank, _ = gram_schmidt_operators([scale * op for op in ops])
             assert rank == 3
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e160, 1e300])
+    def test_extreme_scales_keep_rank_and_coefficients(self, scale):
+        ops = [np.eye(2), SIGMA_X, SIGMA_X + 2.0 * SIGMA_Y]
+        base_basis, base_rank, base_coeffs = gram_schmidt_operators(ops)
+        basis, rank, coeffs = gram_schmidt_operators([scale * op for op in ops])
+        assert rank == base_rank == 3
+        assert max_abs(basis - base_basis) <= 1e-15
+        assert max_abs(coeffs / scale - base_coeffs) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            gram_schmidt_operators([np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])])
+
     def test_empty_input(self):
         basis, rank, coeffs = gram_schmidt_operators([])
         assert rank == 0 and len(basis) == 0 and coeffs.shape == (0, 0)
