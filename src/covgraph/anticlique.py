@@ -5,6 +5,9 @@ element compresses to a multiple of P:  P A P = c_A P.  Over an
 HS-orthonormal basis the check is linear, so certifying the basis
 certifies the whole span.  The best constant for a basis element is the
 least-squares one, c_A = Tr(P A P) / Tr(P).
+
+Spectral candidates come from the frequency partition: each spectral
+projection of U_phi is a sum of rep projections, so no eigensolver runs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,7 @@ import numpy as np
 
 from .circle import CircleRep
 from .graphs import OperatorGraph
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    fingerprint,
-    is_projection,
-    spectral_projections_unitary,
-)
+from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, fingerprint, is_projection
 
 __all__ = [
     "AnticliqueVerdict",
@@ -103,18 +100,23 @@ def anticliques_from_spectrum(
 ) -> list[SpectralVerdict]:
     """Certify every rank >= 2 spectral projection of U_phi, for each phi.
 
+    Each is the sum of the P_j whose phases s_j*phi agree within
+    degeneracy_tol (chained), at their rank-weighted circular mean phase.
     Returns all verdicts, passing and failing, tagged by the angle and the
-    eigenphase the projection belongs to.
+    eigenphase, in ascending eigenphase per angle.
     """
     if graph.dim != rep.dim:
         raise ValueError("graph and representation dimensions differ")
+    rep._require_valid(tol)
+    ranks = np.rint(np.trace(rep.projections, axis1=1, axis2=2).real)
+    blocks = np.flatnonzero(ranks)  # a zero projection adds no eigenvalue
     results = []
-    for phi, u in zip(phis, rep.unitary(phis, tol)):  # one validation for all angles
-        for eigenphase, proj in spectral_projections_unitary(u, tol):
-            if int(round(np.trace(proj).real)) < 2:
-                continue
-            verdict = verify_anticlique(proj, graph, tol)
-            results.append(SpectralVerdict(phi=phi, eigenphase=eigenphase, verdict=verdict))
+    for phi in phis:
+        phases = np.multiply(rep.freqs, phi)[blocks] % (2.0 * math.pi)
+        for eigenphase, group in _phase_clusters(phases, ranks[blocks], tol.degeneracy_tol):
+            if ranks[blocks[group]].sum() >= 2:
+                verdict = verify_anticlique(rep.projections[blocks[group]].sum(axis=0), graph, tol)
+                results.append(SpectralVerdict(phi=phi, eigenphase=eigenphase, verdict=verdict))
     return results
 
 

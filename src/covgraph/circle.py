@@ -92,9 +92,8 @@ class CircleRep:
         phases = np.exp(1j * np.multiply.outer(phi, self.freqs))
         return np.tensordot(phases, self.projections, axes=1)
 
-    def unitary(self, phi: float | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        """The representation unitary at angle phi, or one per angle for an
-        array of angles; requires a valid representation."""
+    def _require_valid(self, tol: Tolerance) -> None:
+        """Raise ValueError naming the worst violated invariant, if any."""
         bad = self.validate(tol)
         if bad:
             worst = max(bad, key=lambda v: v.residual)
@@ -102,6 +101,11 @@ class CircleRep:
                 f"invalid representation: {worst.invariant} violated "
                 f"({worst.detail}, residual {worst.residual:.3g})"
             )
+
+    def unitary(self, phi: float | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        """The representation unitary at angle phi, or one per angle for an
+        array of angles; requires a valid representation."""
+        self._require_valid(tol)
         return self._unitary(phi)
 
     def pinch(self, a: np.ndarray) -> np.ndarray:

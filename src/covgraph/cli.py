@@ -178,6 +178,9 @@ def resolve_tolerance(tol_flag: float | None) -> Tolerance:
         return DEFAULT_TOL
     if not 0.0 < eq_tol < math.inf:
         raise CliInputError(f"tolerance must be positive and finite, got {eq_tol}")
+    if eq_tol < 1e-14:  # at 1e-15, bell --dim 6 --j 2 already fails on rounding
+        raise CliInputError(f"tolerance must be at least 1e-14, got {eq_tol}: "
+                            "below it, rounding error alone fails exact inputs")
     return Tolerance(
         eq_tol=eq_tol,
         eig_tol=min(DEFAULT_TOL.eig_tol, eq_tol),

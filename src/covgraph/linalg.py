@@ -22,7 +22,6 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "is_projection",
-    "is_hermitian",
     "gram_schmidt_operators",
     "eig_hermitian",
     "spectral_projections_unitary",
@@ -88,11 +87,6 @@ def hs_norm(a: np.ndarray) -> float:
     return float(math.sqrt(max(np.vdot(a, a).real, 0.0)))
 
 
-def is_hermitian(a: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = _as_complex(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and max_abs(a - adjoint(a)) <= tol.eq_tol
-
-
 def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff p is Hermitian and idempotent within eq_tol (max-norm)."""
     p = _as_complex(p)
@@ -102,11 +96,14 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def fingerprint(a: np.ndarray, digits: int = 12) -> str:
-    """Short deterministic hex digest of a matrix, for provenance metadata."""
+    """Short deterministic hex digest of a matrix, for provenance metadata:
+    entries rounded relative to the largest one, which is hashed with them."""
     a = _as_complex(a)
-    data = np.round(a, digits) + 0.0  # normalize -0.0
+    scale = max_abs(a) or 1.0
+    data = np.round(a / scale, digits) + 0.0  # normalize -0.0
     h = hashlib.sha1()
     h.update(str(a.shape).encode())
+    h.update(f"{scale:.{digits - 1}e}".encode())
     h.update(data.tobytes())
     return h.hexdigest()[:16]
 
@@ -173,15 +170,28 @@ def eig_hermitian(
     return eigvals, v
 
 
-def _cluster_sorted(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Group indices of an ascending value list whose neighbors differ <= gap."""
-    groups: list[list[int]] = []
-    for i in range(len(values)):
-        if groups and values[i] - values[groups[-1][-1]] <= gap:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Split the indices of an ascending array where neighbors differ by more than gap."""
+    splits = np.flatnonzero(np.diff(values) > gap) + 1
+    return np.split(np.arange(len(values)), splits) if len(values) else []
+
+
+def _phase_clusters(phases: np.ndarray, weights: np.ndarray, gap: float) -> list[tuple]:
+    """(weighted circular mean, indices) of each group of phases in [0, 2pi)
+    whose circular neighbors differ by <= gap, sorted by the mean.  A mean
+    within gap of 0 mod 2pi is 0.0, so it sorts first however it rounded."""
+    order = np.argsort(phases, kind="stable")
+    clusters = [order[c] for c in _cluster_sorted(phases[order], gap)]
+    # the circle wraps: a cluster near 2pi may continue at 0
+    if len(clusters) > 1 and (
+        phases[clusters[0][0]] + 2.0 * math.pi - phases[clusters[-1][-1]] <= gap
+    ):
+        clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
+    result = []
+    for idx in clusters:
+        mean = float(np.angle(weights[idx] @ np.exp(1j * phases[idx])) % (2.0 * math.pi))
+        result.append((0.0 if min(mean, 2.0 * math.pi - mean) <= gap else mean, idx))
+    return sorted(result, key=lambda item: item[0])
 
 
 def spectral_projections_unitary(
@@ -213,22 +223,10 @@ def spectral_projections_unitary(
     # <v|U|v> = <v|C|v> + i <v|S|v> for each eigenvector v
     phases = np.angle(np.einsum("ij,ij->j", v.conj(), u @ v)) % (2.0 * math.pi)
 
-    order = np.argsort(phases, kind="stable")
-    clusters = _cluster_sorted(phases[order], tol.degeneracy_tol)
-    # the circle wraps: a cluster near 2pi may continue at 0
-    if len(clusters) > 1:
-        wrap_gap = phases[order[clusters[0][0]]] + 2.0 * math.pi - phases[order[clusters[-1][-1]]]
-        if wrap_gap <= tol.degeneracy_tol:
-            clusters[0] = clusters.pop() + clusters[0]
-
     result = []
-    for cluster in clusters:
-        idx = order[cluster]
-        z = np.exp(1j * phases[idx]).sum()
-        phase = float(np.angle(z) % (2.0 * math.pi))
+    for phase, idx in _phase_clusters(phases, np.ones(n), tol.degeneracy_tol):
         proj = v[:, idx] @ adjoint(v[:, idx])
         result.append((phase, (proj + adjoint(proj)) / 2.0))
-    result.sort(key=lambda item: item[0])
     return result
 
 

@@ -24,7 +24,7 @@ from covgraph import (
     two_block_rep,
     verify_anticlique,
 )
-from covgraph.linalg import fingerprint
+from covgraph.linalg import DEFAULT_TOL, fingerprint, spectral_projections_unitary
 from helpers import (
     FREQS,
     P_PLUS_4,
@@ -206,10 +206,9 @@ class TestConjugationInvariance:
 
         for p, q in zip(rep.projections, moved.projections):
             assert outcome(verify_anticlique(q, moved_graph)) == outcome(verify_anticlique(p, graph))
-        # compared as sets per angle: an eigenphase at 0 may round to either end of [0, 2pi]
         phis = [1.0] + [a.phi for a in merged_spectrum_angles(rep)[:2]]
         spectral = [
-            sorted((r.phi, *outcome(r.verdict)) for r in anticliques_from_spectrum(u, g, phis))
+            [(r.phi, r.eigenphase, *outcome(r.verdict)) for r in anticliques_from_spectrum(u, g, phis)]
             for u, g in ((rep, graph), (moved, moved_graph))
         ]
         assert spectral[1] == spectral[0]
@@ -246,6 +245,61 @@ class TestSpectralEnumeration:
         generic = anticliques_from_spectrum(rep, graph, [1.0])
         assert len(at_pi) == len(generic) == 2
         assert [r.verdict.passed for r in at_pi] == [r.verdict.passed for r in generic]
+
+
+def spectral_candidates(rep, phi):
+    """(eigenphase, projection) of each candidate anticliques_from_spectrum
+    certifies at phi.  Over the matrix units E_ab the constants are
+    c = Tr(P E_ab P) / r = P[b, a] / r, so they spell out the projection."""
+    n = rep.dim
+    units = OperatorGraph(dim=n, basis=np.eye(n * n).reshape(n * n, n, n))
+    return [
+        (r.eigenphase,
+         r.verdict.code_dimension * np.reshape(r.verdict.constants, (n, n)).T)
+        for r in anticliques_from_spectrum(rep, units, [phi])
+    ]
+
+
+class TestSpectralCandidates:
+    # the partition sums are the eigensolver's spectral projections, at every
+    # merged angle and at a generic one
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, seed=st.integers(0, 2**32 - 1))
+    def test_match_spectral_projections_of_the_unitary(self, n, freqs, seed):
+        rep = random_rep(np.random.default_rng(seed), n, freqs[:n])
+        for phi in [1.0] + [a.phi for a in merged_spectrum_angles(rep)]:
+            got = spectral_candidates(rep, phi)
+            want = [
+                (e, p) for e, p in spectral_projections_unitary(rep.unitary(phi))
+                if round(np.trace(p).real) >= 2
+            ]
+            assert len(got) == len(want)
+            for (e_got, p_got), (e_want, p_want) in zip(got, want):
+                assert abs(e_got - e_want) <= DEFAULT_TOL.degeneracy_tol
+                assert max_abs(p_got - p_want) <= 1e-10
+
+    def test_zero_projection_does_not_chain_phases(self):
+        # phases pi + 0.3e-8 * (1, 5, 9): the empty middle block lies within
+        # degeneracy_tol of both others, which are 1.2e-8 apart
+        projections = np.zeros((3, 4, 4), dtype=complex)
+        projections[0] = P_PLUS_4
+        projections[2] = np.eye(4) - P_PLUS_4
+        rep = CircleRep(freqs=(1, 3, 5), projections=projections)
+        phi = math.pi + 0.3e-8
+        got = spectral_candidates(rep, phi)
+        want = spectral_projections_unitary(rep.unitary(phi))
+        assert len(got) == len(want) == 2
+        for (e_got, p_got), (e_want, p_want) in zip(got, want):
+            assert abs(e_got - e_want) <= 1e-12
+            assert max_abs(p_got - p_want) <= 1e-10
+
+    def test_rejects_invalid_rep_like_unitary(self, block_rep):
+        bad = CircleRep(block_rep.freqs, block_rep.projections * 1.5)
+        with pytest.raises(ValueError) as from_unitary:
+            bad.unitary(1.0)
+        with pytest.raises(ValueError) as from_search:
+            anticliques_from_spectrum(bad, identity_graph(4), [1.0])
+        assert str(from_search.value) == str(from_unitary.value)
 
 
 class TestMergedSpectrumAngles:

@@ -403,6 +403,21 @@ class TestTolerance:
         assert main(argv) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
+    # at 1e-15, bell --dim 6 --j 2 fails its own exact codes on rounding
+    @pytest.mark.parametrize("value", ["1e-15", "1e-300"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_tolerance_below_rounding_exits_2(self, value, source, capsys, monkeypatch):
+        argv = ["bell", "--dim", "6", "--j", "2"]
+        if source == "flag":
+            argv += ["--tol", value]
+        else:
+            monkeypatch.setenv("COVGRAPH_TOL", value)
+        assert main(argv) == 2
+        assert "tolerance must be at least 1e-14" in capsys.readouterr().err
+
+    def test_tolerance_at_the_floor_is_accepted(self):
+        assert main(["bell", "--dim", "6", "--j", "2", "--tol", "1e-14"]) == 0
+
 
 def test_console_entry_point_runs():
     import subprocess

@@ -201,7 +201,7 @@ class TestSampledOrbitGraph:
         analytic = orbit_graph(block_rep, seed)
         sampled = sampled_orbit_graph(block_rep, seed, 5)
         assert sampled.span_dim == analytic.span_dim == 3
-        diff = max_abs(span_projector(analytic) - span_projector(sampled))
+        diff = np.linalg.norm(span_projector(analytic) - span_projector(sampled), 2)
         assert diff <= 1e-9
         assert _span_gap(analytic, sampled) == pytest.approx(diff, abs=1e-12)
 
@@ -256,7 +256,7 @@ def _random_graph(rng, n, k, within=None):
 
 
 class TestSpanGap:
-    # n = 24 makes n^2 = 576 rows, more than one row block of the gap
+    # n = 24 makes tall flattened bases (576 rows); n = 1 a single row
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([1, 2, 3, 5, 24]),
@@ -271,7 +271,7 @@ class TestSpanGap:
         a = _random_graph(rng, n, k_a)
         b = _random_graph(rng, n, min(k_b, k_a) if nested else min(k_b, n * n),
                           within=a if nested else None)
-        expected = max_abs(span_projector(a) - span_projector(b))
+        expected = np.linalg.norm(span_projector(a) - span_projector(b), 2)
         assert abs(_span_gap(a, b) - expected) <= 1e-12
 
 

@@ -9,6 +9,7 @@ eigendecompositions."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from covgraph import (
     spectral_projections_unitary,
     two_block_rep,
 )
+from covgraph.linalg import fingerprint
 from helpers import (
     P_PLUS_4,
     SIGMA_X,
@@ -34,6 +36,7 @@ from helpers import (
     gram_rank_by_elimination,
     random_hermitian,
     random_offblock,
+    random_rep,
     random_unitary_givens,
 )
 
@@ -235,6 +238,28 @@ class TestSpectralProjections:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             spectral_projections_unitary(np.diag([1.0, 2.0]))
+
+    def test_eigenphase_at_zero_is_reported_as_zero(self):
+        # rounding can leave this block's eigenphase just below 0 mod 2pi; it must read 0.0
+        rep = random_rep(np.random.default_rng(0), 6, (0, 2, 1, 5))
+        phases = [p for p, _ in spectral_projections_unitary(rep.unitary(math.pi / 2))]
+        assert phases[0] == 0.0
+        assert all(0.0 <= p < 2.0 * math.pi for p in phases)
+
+
+class TestFingerprint:
+    def test_tells_scales_apart_without_overflow(self):
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fingerprint(1e300 * np.eye(3)) != fingerprint(2e300 * np.eye(3))
+            assert fingerprint(1e-14 * a) != fingerprint(0.0 * a)
+            assert fingerprint(1e-14 * a) != fingerprint(1e-13 * a)
+
+    def test_ignores_rounding_and_negative_zero(self):
+        a = np.random.default_rng(4).normal(size=(3, 3))
+        assert fingerprint(a) == fingerprint(a * (1.0 + 1e-15))
+        assert fingerprint(np.zeros((2, 2))) == fingerprint(-np.zeros((2, 2)))
 
 
 class TestSchmidt:
