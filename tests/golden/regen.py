@@ -63,6 +63,8 @@ CASES = {
     "verify-nonpsd-seed": _verify("two_block_rep.json", "nonpsd_m0.json", "two_block_proj.json"),
     "verify-null-projection-entry": _verify("null_entry_rep.json", "two_block_m0.json",
                                             "two_block_proj.json"),
+    "verify-incomplete-rep": _verify("incomplete_rep.json", "two_block_m0.json",
+                                     "two_block_proj.json"),
 }
 
 
@@ -104,6 +106,7 @@ def _input_docs() -> dict:
         "rank1_proj.json": matrix_to_json(np.diag([1.0, 0.0, 0.0, 0.0])),
         "nonpsd_m0.json": matrix_to_json(q - np.eye(4)),
         "null_entry_rep.json": null_entry,
+        "incomplete_rep.json": _rep_doc((1, -1), [p_plus, p_plus]),
     }
 
 
