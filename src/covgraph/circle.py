@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, is_projection, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, _as_integer, is_projection, max_abs
 
 __all__ = ["CircleRep", "RepViolation", "two_block_rep"]
 
@@ -37,7 +37,7 @@ class CircleRep:
     projections: np.ndarray
 
     def __post_init__(self):
-        freqs = tuple(int(s) for s in self.freqs)
+        freqs = tuple(_as_integer(s, "frequencies must be integers") for s in self.freqs)
         if len(freqs) != len(self.projections) or not freqs:
             raise ValueError("freqs and projections must be non-empty and equal-length")
         if len(set(freqs)) != len(freqs):
@@ -98,7 +98,7 @@ class CircleRep:
         if bad:
             worst = max(bad, key=lambda v: v.residual)
             raise ValueError(
-                f"invalid representation: {worst.invariant} violated "
+                f"invalid representation: {worst.invariant} violation "
                 f"({worst.detail}, residual {worst.residual:.3g})"
             )
 
@@ -108,12 +108,25 @@ class CircleRep:
         self._require_valid(tol)
         return self._unitary(phi)
 
-    def pinch(self, a: np.ndarray) -> np.ndarray:
-        """Conditional expectation sum_j P_j A P_j onto the fixed-point algebra."""
+    def _operator(self, a: np.ndarray) -> np.ndarray:
+        """``a`` as a complex matrix on this representation's space, or ValueError."""
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {a.shape}")
+        return a
+
+    def pinch(self, a: np.ndarray) -> np.ndarray:
+        """Conditional expectation sum_j P_j A P_j onto the fixed-point algebra."""
+        a = self._operator(a)
         return (self.projections @ a @ self.projections).sum(axis=0)
+
+    def _conjugates(self, a: np.ndarray, n_samples: int) -> np.ndarray:
+        """U A U^dagger at the N angles 2pi k/N, as one (N, n, n) array."""
+        a = self._operator(a)
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        u = self._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
+        return u @ a @ u.conj().transpose(0, 2, 1)
 
     def haar_average(self, a: np.ndarray, n_samples: int) -> np.ndarray:
         """Uniform quadrature (1/N) sum_k U_{2pi k/N} A U_{2pi k/N}^dagger.
@@ -121,13 +134,7 @@ class CircleRep:
         Exactly equals pinch(a) whenever N exceeds every nonzero frequency
         difference |s_j - s_k| (in particular whenever N > 2*max|s_j|).
         """
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} matrix, got {a.shape}")
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        u = self._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
-        return (u @ a @ u.conj().transpose(0, 2, 1)).sum(axis=0) / n_samples
+        return self._conjugates(a, n_samples).sum(axis=0) / n_samples
 
 
 def two_block_rep(p_plus: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CircleRep:

@@ -24,7 +24,7 @@ from .bell import bell_code_report
 from .circle import CircleRep
 from .families import FamilyParams, family_report
 from .graphs import _span_gap, orbit_graph, sampled_orbit_graph
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _as_integer
 
 REPORT_VERSION = "covgraph-report/1"
 SAMPLED_SPAN_TOL = 1e-8
@@ -86,7 +86,8 @@ def matrix_from_json(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise CliInputError("matrix document must be a JSON object")
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
+        rows, cols = (_as_integer(doc[k], f"{k} must be an integer") for k in ("rows", "cols"))
+        data = doc["data"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"matrix document missing/invalid field: {exc}") from exc
     if rows < 1 or cols < 1:
@@ -108,16 +109,14 @@ def rep_from_json(doc) -> CircleRep:
     if not isinstance(doc, dict):
         raise CliInputError("representation document must be a JSON object")
     try:
-        dim = int(doc["dim"])
-        freqs = [int(s) for s in doc["freqs"]]
-        projection_docs = list(doc["projections"])
+        dim = _as_integer(doc["dim"], "dim must be an integer")
+        freqs, projection_docs = list(doc["freqs"]), list(doc["projections"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"representation document missing/invalid field: {exc}") from exc
-    projections = [matrix_from_json(p) for p in projection_docs]
-    for p in projections:
-        if p.shape != (dim, dim):
-            raise CliInputError(f"projection shape {p.shape} does not match dim {dim}")
-    return CircleRep(freqs=tuple(freqs), projections=tuple(projections))
+    rep = CircleRep(freqs=freqs, projections=[matrix_from_json(p) for p in projection_docs])
+    if rep.dim != dim:
+        raise CliInputError(f"projections are {rep.dim}x{rep.dim}, but dim is {dim}")
+    return rep
 
 
 def rep_to_json(rep: CircleRep) -> dict:
@@ -263,8 +262,7 @@ def _emit(args, report: dict) -> int:
 # subcommands
 
 
-def _cmd_demo4(args) -> int:
-    tol = resolve_tolerance(args.tol)
+def _cmd_demo4(args, tol: Tolerance) -> int:
     result = family_report(FamilyParams(args.tau, args.z1, args.z2, args.z4, args.k), tol)
     system = result.system
     assertions = [
@@ -310,10 +308,7 @@ def _cmd_demo4(args) -> int:
     return _emit(args, report)
 
 
-def _cmd_bell(args) -> int:
-    tol = resolve_tolerance(args.tol)
-    if args.dim < 2:
-        raise CliInputError("dimension must be at least 2")
+def _cmd_bell(args, tol: Tolerance) -> int:
     result = bell_code_report(args.dim, args.j, tol)
     assertions = [
         _assertion(
@@ -341,15 +336,9 @@ def _cmd_bell(args) -> int:
     return _emit(args, report)
 
 
-def _cmd_verify(args) -> int:
-    tol = resolve_tolerance(args.tol)
+def _cmd_verify(args, tol: Tolerance) -> int:
     rep = rep_from_json(_load_json(args.rep))
-    violations = rep.validate(tol)
-    if violations:
-        worst = max(violations, key=lambda v: v.residual)
-        raise CliInputError(
-            f"{worst.invariant} violation ({worst.detail}, residual {worst.residual:.3g})"
-        )
+    rep._require_valid(tol)
     seed = matrix_from_json(_load_json(args.m0))
     candidate = matrix_from_json(_load_json(args.proj))
 
@@ -357,8 +346,6 @@ def _cmd_verify(args) -> int:
 
     assertions = []
     if args.samples is not None:
-        if args.samples < 1:
-            raise CliInputError("samples must be >= 1")
         sampled = sampled_orbit_graph(rep, seed, args.samples, tol)
         proj_diff = _span_gap(graph, sampled)
         assertions.append(
@@ -381,8 +368,7 @@ def _cmd_verify(args) -> int:
     return _emit(args, report)
 
 
-def _cmd_scan(args) -> int:
-    tol = resolve_tolerance(args.tol)
+def _cmd_scan(args, tol: Tolerance) -> int:
     grid = parse_grid(args.grid)
     rng = np.random.default_rng(args.seed)
     assertions = []
@@ -483,7 +469,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, resolve_tolerance(args.tol))
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -29,7 +29,7 @@ import numpy as np
 from .anticlique import AnticliqueVerdict, verify_anticlique
 from .circle import two_block_rep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, max_abs, num_close, schmidt
+from .linalg import DEFAULT_TOL, Tolerance, _shannon_bits, adjoint, max_abs, num_close, schmidt
 
 __all__ = [
     "FamilyParams",
@@ -257,10 +257,6 @@ class EntanglementReport:
     identification: TensorIdentification
 
 
-def _entropy_bits(weights) -> float:
-    return float(-sum(w * math.log2(w) for w in weights if w > 0.0))
-
-
 def entanglement_report(
     params: FamilyParams, tol: Tolerance = DEFAULT_TOL
 ) -> EntanglementReport:
@@ -280,7 +276,7 @@ def entanglement_report(
     ident = corrected_identification(params, tol)
 
     printed = (1.0 - 4.0 * tau * tau, 4.0 * tau * tau)
-    printed_entropy = _entropy_bits(printed)
+    printed_entropy = _shannon_bits(printed)
 
     denom = rho * np.exp(1j * params.z3) + tau * np.exp(1j * params.z4)
     if abs(denom) <= tol.eq_tol:

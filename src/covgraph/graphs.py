@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import CircleRep
+from .circle import CircleRep, two_block_rep
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -27,7 +27,6 @@ from .linalg import (
     gram_schmidt_operators,
     hs_inner,
     hs_norm,
-    is_projection,
     max_abs,
 )
 
@@ -95,9 +94,7 @@ def frequency_components(
 ) -> list[FrequencyComponent]:
     """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, that are
     nonzero relative to the seed: max_abs(A_m) > eq_tol * max_abs(seed)."""
-    seed = np.asarray(seed, dtype=complex)
-    if seed.shape != (rep.dim, rep.dim):
-        raise ValueError(f"expected a {rep.dim}x{rep.dim} matrix, got {seed.shape}")
+    seed = rep._operator(seed)
     _require_finite(seed)  # a NaN cut would drop every component
     cut = tol.eq_tol * max_abs(seed)
     acc: dict[int, np.ndarray] = {}
@@ -166,13 +163,7 @@ def sampled_orbit_graph(
     Matches orbit_graph once n_samples exceeds every nonzero frequency
     difference; kept as a quadrature-based cross-check of the analytic route.
     """
-    seed = np.asarray(seed, dtype=complex)
-    if seed.shape != (rep.dim, rep.dim):
-        raise ValueError(f"expected a {rep.dim}x{rep.dim} matrix, got {seed.shape}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    u = rep._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
-    basis, _, _ = gram_schmidt_operators(u @ seed @ u.conj().transpose(0, 2, 1), tol)
+    basis, _, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
     return OperatorGraph(
         dim=rep.dim,
         basis=basis,
@@ -263,9 +254,7 @@ def two_block_maximal_graph(
     """Largest span invariant under a two-block action, h*P+ + q*P- + (off-block
     part): with eigenvectors u_a of P+ and w_b of P-, the basis is P+/sqrt(r),
     P-/sqrt(n-r) (unless zero) and the matrix units |u_a><w_b|, |w_b><u_a|."""
-    p_plus = np.asarray(p_plus, dtype=complex)
-    if not is_projection(p_plus, tol):
-        raise ValueError("p_plus is not an orthogonal projection within eq_tol")
+    p_plus = two_block_rep(p_plus, tol).projections[0]  # raises unless a projection
     n = p_plus.shape[0]
     eigvals, v = eig_hermitian(p_plus, tol)
     minus, plus = v[:, eigvals < 0.5], v[:, eigvals >= 0.5]

@@ -150,6 +150,21 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("input has non-finite entries")
 
 
+def _as_integer(value, message: str) -> int:
+    """An int or an integral float as an int; anything else (2.5, "2", inf,
+    nan, True) raises ValueError(message + ", got value")."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{message}, got {value!r}")
+
+
+def _shannon_bits(weights) -> float:
+    """Shannon entropy in bits of a probability vector; zero weights add nothing."""
+    return float(-sum(w * math.log2(w) for w in weights if w > 0.0))
+
+
 def eig_hermitian(
     a: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +262,4 @@ def schmidt(
     if not num_close(norm, 1.0, tol):
         raise ValueError(f"vector norm {norm} is not 1 within eq_tol")
     coeffs = np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False)
-    weights = coeffs * coeffs
-    entropy = float(-sum(w * math.log2(w) for w in weights if w > 0.0))
-    return coeffs, entropy
+    return coeffs, _shannon_bits(coeffs * coeffs)

@@ -88,6 +88,16 @@ class TestValidate:
                     key=lambda v: v.residual)
         assert worst.residual == pytest.approx(max_abs(p @ q), abs=1e-12)
 
+    # int() truncated 2.5 to 2 and read "2" as 2; inf raised OverflowError
+    @pytest.mark.parametrize("bad", [2.5, "2", float("inf"), float("nan")])
+    def test_rejects_non_integer_frequency(self, bad):
+        with pytest.raises(ValueError, match="frequencies must be integers, got"):
+            CircleRep(freqs=(bad, -1), projections=(P_PLUS_4, np.eye(4) - P_PLUS_4))
+
+    def test_integral_float_frequency_is_an_int(self):
+        rep = CircleRep(freqs=(2.0, np.int64(-1)), projections=(P_PLUS_4, np.eye(4) - P_PLUS_4))
+        assert rep.freqs == (2, -1) and all(type(s) is int for s in rep.freqs)
+
     def test_rejects_repeated_frequency(self):
         with pytest.raises(ValueError, match="frequency"):
             CircleRep(freqs=(1, 1), projections=(np.eye(2), np.eye(2)))

@@ -109,6 +109,24 @@ class TestSerialization:
             matrix_from_json(doc)
         assert_verify_seed_exits_2(doc, instance_files, tmp_path, capsys)
 
+    # int() truncated 2.9 to 2 and read "2" as 2; 1e400 escaped as OverflowError
+    @pytest.mark.parametrize("rows", [2.9, "2", json.loads("1e400")], ids=["2.9", "str", "1e400"])
+    def test_rejects_non_integer_size(self, rows, instance_files, tmp_path, capsys):
+        doc = {"rows": rows, "cols": 2, "data": [[[1.0, 0.0], [0.0, 0.0]]] * 2}
+        with pytest.raises(CliInputError, match="invalid field: rows must be an integer, got"):
+            matrix_from_json(doc)
+        assert_verify_seed_exits_2(doc, instance_files, tmp_path, capsys)
+
+    def test_rejects_non_integer_frequency(self, instance_files, tmp_path, capsys):
+        doc = rep_to_json(two_block_rep(P_PLUS_4))
+        doc["freqs"] = [1.7, -1]  # used to be certified as (1, -1)
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", "--rep", str(path), "--m0", instance_files["m0"],
+                "--proj", instance_files["proj"]]
+        assert main(argv) == 2
+        assert "error: frequencies must be integers, got 1.7" in capsys.readouterr().err
+
     def test_rep_roundtrip(self):
         rep = two_block_rep(P_PLUS_4)
         doc = json.loads(canonical_dumps(rep_to_json(rep)))
@@ -228,6 +246,7 @@ class TestBell:
 
     def test_dimension_one_exits_2(self, capsys):
         assert main(["bell", "--dim", "1", "--j", "1"]) == 2
+        assert capsys.readouterr().err == "error: dimension d must be at least 2\n"
 
     def test_bad_index_exits_2(self, capsys):
         assert main(["bell", "--dim", "3", "--j", "4"]) == 2
@@ -311,6 +330,12 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert "completeness violation" in err and "residual 1)" in err
+
+    def test_zero_samples_exits_2(self, instance_files, capsys):
+        argv = ["verify", "--rep", instance_files["rep"], "--m0", instance_files["m0"],
+                "--proj", instance_files["proj"], "--samples", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: n_samples must be >= 1\n"
 
     def test_malformed_json_exits_2(self, instance_files, tmp_path, capsys):
         path = tmp_path / "broken.json"

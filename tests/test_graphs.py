@@ -112,6 +112,19 @@ class TestNonFiniteSeed:
             sampled_orbit_graph(block_rep, seed, 5)
 
 
+# haar_average and sampled_orbit_graph share one conjugation and its input checks
+@pytest.mark.parametrize("build", [lambda rep, a, n: rep.haar_average(a, n), sampled_orbit_graph],
+                         ids=["haar_average", "sampled_orbit_graph"])
+@pytest.mark.parametrize("seed,n_samples,message", [
+    (np.eye(3), 5, "expected a 4x4 matrix, got (3, 3)"),
+    (np.eye(4), 0, "n_samples must be >= 1"),
+], ids=["wrong-shape", "zero-samples"])
+def test_conjugation_input_errors(block_rep, build, seed, n_samples, message):
+    with pytest.raises(ValueError) as raised:
+        build(block_rep, seed, n_samples)
+    assert str(raised.value) == message
+
+
 class TestStackedBasis:
     def test_empty_and_tuple_inputs_normalize(self):
         assert OperatorGraph(dim=3, basis=()).basis.shape == (0, 3, 3)
