@@ -6,6 +6,14 @@ HS-orthonormal basis the check is linear, so certifying the basis
 certifies the whole span.  The best constant for a basis element is the
 least-squares one, c_A = Tr(P A P) / Tr(P).
 
+The check runs in Knill-Laflamme form (Knill & Laflamme, PRA 55, 900,
+1997): with V (n x r) an isometry onto the range of P, P A P = c_A P
+exactly when V^dagger A V = c_A I_r.  That costs 2 n^2 r operations per
+basis element instead of the 2 n^3 of forming P A P, and the residual
+V (V^dagger A V - c_A I) V^dagger is the same matrix P A P - c_A P.
+``verify_anticlique`` gets V from one eigh of P; a representation's own
+blocks come with their isometries (``CircleRep._block_basis``).
+
 Spectral candidates come from the frequency partition: each spectral
 projection of U_phi is a sum of rep projections, so no eigensolver runs.
 """
@@ -76,10 +84,24 @@ def verify_anticlique(
     rank = int(round(np.trace(p).real))
     if rank == 0:
         raise ValueError("candidate projection has rank 0")
-    pap = p @ graph.basis @ p  # (P A) P for every basis element A at once
-    constants = np.trace(pap, axis1=1, axis2=2) / rank
-    pap -= constants[:, None, None] * p  # now the residual matrices
-    residuals = np.abs(pap).max(axis=(1, 2))  # the witness is the last maximal one
+    _, vecs = np.linalg.eigh(p)  # ascending: the last rank columns span the range
+    return _knill_laflamme(vecs[:, -rank:], graph, tol)
+
+
+def _knill_laflamme(v: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> AnticliqueVerdict:
+    """The compression check on an isometry V (n x r) onto the range of P.
+
+    X_A = V^dagger A V for the whole basis in one product, c_A = tr X_A / r,
+    and the residual of A is max_abs(V (X_A - c_A I) V^dagger), which equals
+    P A P - c_A P.  The witness is the last basis index attaining the maximum.
+    """
+    rank = v.shape[1]
+    x = v.conj().T @ graph.basis @ v
+    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view into x
+    constants = diagonals.sum(axis=1) / rank
+    diagonals -= constants[:, None]
+    deviations = v @ x @ v.conj().T  # P A P - c_A P for every basis element A
+    residuals = np.abs(deviations).max(axis=(1, 2))
     worst = len(residuals) - 1 - int(np.argmax(residuals[::-1])) if len(residuals) else None
     max_residual = 0.0 if worst is None else float(residuals[worst])
     passed = max_residual <= tol.eq_tol and rank >= 2
@@ -88,7 +110,7 @@ def verify_anticlique(
         constants=tuple(constants.tolist()),
         max_residual=max_residual,
         code_dimension=rank,
-        witness=None if passed or worst is None else (worst, fingerprint(pap[worst])),
+        witness=None if passed or worst is None else (worst, fingerprint(deviations[worst])),
     )
 
 
@@ -108,14 +130,14 @@ def anticliques_from_spectrum(
     if graph.dim != rep.dim:
         raise ValueError("graph and representation dimensions differ")
     rep._require_valid(tol)
-    ranks = np.rint(np.trace(rep.projections, axis1=1, axis2=2).real)
+    ranks = np.bincount(rep._block_basis[0], minlength=len(rep.freqs))
     blocks = np.flatnonzero(ranks)  # a zero projection adds no eigenvalue
     results = []
     for phi in phis:
         phases = np.multiply(rep.freqs, phi)[blocks] % (2.0 * math.pi)
         for eigenphase, group in _phase_clusters(phases, ranks[blocks], tol.degeneracy_tol):
             if ranks[blocks[group]].sum() >= 2:
-                verdict = verify_anticlique(rep.projections[blocks[group]].sum(axis=0), graph, tol)
+                verdict = _knill_laflamme(rep._isometry(blocks[group]), graph, tol)
                 results.append(SpectralVerdict(phi=phi, eigenphase=eigenphase, verdict=verdict))
     return results
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticlique import AnticliqueVerdict, verify_anticlique
+from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import CircleRep
 from .graphs import OperatorGraph, is_operator_system, orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, max_abs
@@ -102,7 +102,7 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
     pinch_residual = max_abs(rep.pinch(seed) - np.eye(d * d) / d)
     graph = orbit_graph(rep, seed, tol)
     system = is_operator_system(graph, tol)
-    verdicts = tuple(verify_anticlique(p, graph, tol) for p in rep.projections)
+    verdicts = tuple(_knill_laflamme(rep._isometry(s), graph, tol) for s in range(d))
     passed = (
         pinch_residual <= tol.eq_tol
         and system.contains_identity

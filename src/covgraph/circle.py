@@ -10,6 +10,7 @@ exceeds every nonzero frequency difference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,11 @@ class CircleRep:
 
     def __post_init__(self):
         freqs = tuple(_as_integer(s, "frequencies must be integers") for s in self.freqs)
+        # the unitaries take exp(i s phi) of an int64 array of the s; a larger s
+        # makes it an object array, which np.exp rejects
+        big = next((s for s in freqs if abs(s) >= 2**63), None)
+        if big is not None:
+            raise ValueError(f"frequencies must be below 2**63 in magnitude, got {big:.3g}")
         if len(freqs) != len(self.projections) or not freqs:
             raise ValueError("freqs and projections must be non-empty and equal-length")
         if len(set(freqs)) != len(freqs):
@@ -63,6 +69,29 @@ class CircleRep:
     @property
     def max_freq(self) -> int:
         return max(abs(s) for s in self.freqs)
+
+    @functools.cached_property
+    def _block_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, W): a unitary W whose columns labelled j span the range of
+        P_j, so W[:, labels == j] is an isometry V with V V^dagger = P_j.
+
+        One eigh of sum_j j P_j: its eigenvalues are the indices j, a gap of 1
+        apart, up to the rep's rounding.  Computed once per instance, read-only,
+        and meaningful only for a valid representation.
+        """
+        k, n = len(self.freqs), self.dim
+        weighted = np.arange(k) @ self.projections.reshape(k, n * n)  # sum_j j P_j, flattened
+        eigvals, w = np.linalg.eigh(weighted.reshape(n, n))
+        labels = np.rint(eigvals).astype(int)
+        labels.flags.writeable = w.flags.writeable = False
+        return labels, w
+
+    def _isometry(self, blocks) -> np.ndarray:
+        """Isometry onto the range of the sum of P_j over the block indices given."""
+        labels, w = self._block_basis
+        chosen = np.zeros(len(self.freqs), dtype=bool)
+        chosen[blocks] = True
+        return w[:, chosen[labels]]
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> list[RepViolation]:
         """Check projection/orthogonality/completeness invariants; empty list iff valid."""

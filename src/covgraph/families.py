@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticlique import AnticliqueVerdict, verify_anticlique
+from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import two_block_rep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, _shannon_bits, adjoint, max_abs, num_close, schmidt
@@ -345,7 +345,8 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
     q = family_projection(params)
     complement = np.eye(4) - q
     recovered = family_params_from_matrix(complement, tol)
-    graph = orbit_graph(two_block_rep(P_PLUS, tol), q, tol)
+    rep = two_block_rep(P_PLUS, tol)
+    graph = orbit_graph(rep, q, tol)
     return FamilyReport(
         params=params,
         idempotence_residual=max_abs(q @ q - q),
@@ -356,7 +357,7 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
         ),
         graph=graph,
         system=is_operator_system(graph, tol),
-        verdict_plus=verify_anticlique(P_PLUS, graph, tol),
-        verdict_minus=verify_anticlique(np.eye(4) - P_PLUS, graph, tol),
+        verdict_plus=_knill_laflamme(rep._isometry(0), graph, tol),
+        verdict_minus=_knill_laflamme(rep._isometry(1), graph, tol),
         entanglement=entanglement_report(params, tol),
     )

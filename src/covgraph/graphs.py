@@ -254,10 +254,9 @@ def two_block_maximal_graph(
     """Largest span invariant under a two-block action, h*P+ + q*P- + (off-block
     part): with eigenvectors u_a of P+ and w_b of P-, the basis is P+/sqrt(r),
     P-/sqrt(n-r) (unless zero) and the matrix units |u_a><w_b|, |w_b><u_a|."""
-    p_plus = two_block_rep(p_plus, tol).projections[0]  # raises unless a projection
-    n = p_plus.shape[0]
-    eigvals, v = eig_hermitian(p_plus, tol)
-    minus, plus = v[:, eigvals < 0.5], v[:, eigvals >= 0.5]
+    rep = two_block_rep(p_plus, tol)  # raises unless a projection
+    n = rep.dim
+    plus, minus = rep._isometry(0), rep._isometry(1)
     blocks = [w @ adjoint(w) / math.sqrt(w.shape[1]) for w in (plus, minus) if w.shape[1]]
     corner = np.einsum("ia,jb->abij", plus, minus.conj()).reshape(-1, n, n)
     return OperatorGraph(

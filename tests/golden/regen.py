@@ -6,8 +6,9 @@ change of report contents:
 
     PYTHONPATH=src python tests/golden/regen.py
 
-It prints a unified diff of every report that changed, and nothing for the
-ones that did not.  The input files under inputs/ are written only when
+It rewrites, and prints a unified diff of, only the reports that the corpus
+rule (``mismatches``) rejects; a report whose floats moved by rounding alone
+stays as it is.  The input files under inputs/ are written only when
 missing, from a fixed seed, so regenerating never moves them.  Every command
 runs with this directory as the working directory and relative paths, so
 ``verify`` echoes the same paths on every checkout.
@@ -30,6 +31,34 @@ from covgraph.cli import canonical_dumps, main, matrix_to_json
 
 HERE = Path(__file__).resolve().parent
 REPORTS = HERE / "reports"
+
+NUMBER_TOL = 1e-14
+
+
+def mismatches(want, got, path: str = "") -> list[str]:
+    """Every place where ``got`` breaks the corpus rule, named by its key path;
+    list items that carry a "name" are labelled by it.
+
+    Every string, bool and int must match exactly; a float may move by at
+    most NUMBER_TOL, so only rounding-level changes pass.
+    """
+    if isinstance(want, dict) and isinstance(got, dict):
+        if set(want) != set(got):
+            return [f"{path}: keys {sorted(want)} != {sorted(got)}"]
+        return [m for key in sorted(want) for m in mismatches(want[key], got[key], f"{path}.{key}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [f"{path}: length {len(want)} != {len(got)}"]
+        found = []
+        for i, (w, g) in enumerate(zip(want, got)):
+            label = w["name"] if isinstance(w, dict) and "name" in w else i
+            found += mismatches(w, g, f"{path}[{label}]")
+        return found
+    if type(want) is float and type(got) is float:
+        same = abs(want - got) <= NUMBER_TOL
+    else:
+        same = type(want) is type(got) and want == got
+    return [] if same else [f"{path}: {want!r} != {got!r}"]
 
 
 def _verify(rep: str, m0: str, proj: str, *extra: str) -> list[str]:
@@ -142,13 +171,15 @@ def main_regen() -> int:
     REPORTS.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         path = REPORTS / f"{name}.json"
-        new = dumps_record(run_case(argv))
+        record = run_case(argv)
         old = path.read_text(encoding="utf-8") if path.exists() else ""
-        if new != old:
-            sys.stdout.writelines(difflib.unified_diff(
-                old.splitlines(keepends=True), new.splitlines(keepends=True),
-                f"a/{name}.json", f"b/{name}.json"))
-            path.write_text(new, encoding="utf-8")
+        if old and not mismatches(json.loads(old), record):
+            continue
+        new = dumps_record(record)
+        sys.stdout.writelines(difflib.unified_diff(
+            old.splitlines(keepends=True), new.splitlines(keepends=True),
+            f"a/{name}.json", f"b/{name}.json"))
+        path.write_text(new, encoding="utf-8")
     return 0
 
 

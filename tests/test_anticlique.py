@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    AnticliqueVerdict,
     CircleRep,
     OperatorGraph,
     anticliques_from_spectrum,
@@ -24,6 +25,7 @@ from covgraph import (
     two_block_rep,
     verify_anticlique,
 )
+from covgraph.anticlique import _knill_laflamme
 from covgraph.linalg import DEFAULT_TOL, fingerprint, spectral_projections_unitary
 from helpers import (
     FREQS,
@@ -212,6 +214,70 @@ class TestConjugationInvariance:
             for u, g in ((rep, graph), (moved, moved_graph))
         ]
         assert spectral[1] == spectral[0]
+
+
+def compression_reference(p, graph, tol=DEFAULT_TOL):
+    """The check formed directly as P A P - c_A P:
+    (passed, rank, constants, residual of each basis element)."""
+    rank = int(round(np.trace(p).real))
+    pap = p @ graph.basis @ p
+    constants = np.trace(pap, axis1=1, axis2=2) / rank
+    residuals = np.abs(pap - constants[:, None, None] * p).max(axis=(1, 2))
+    return residuals.max() <= tol.eq_tol and rank >= 2, rank, constants, residuals
+
+
+def assert_agrees(verdict, reference, scale):
+    passed, rank, constants, residuals = reference
+    assert (verdict.passed, verdict.code_dimension) == (passed, rank)
+    assert max_abs(np.subtract(verdict.constants, constants)) <= 1e-12 * scale
+    assert abs(verdict.max_residual - residuals.max()) <= 1e-12 * scale
+    # the witness is the last maximal index; residuals that tie exactly (a
+    # component and its adjoint under P = I) are maximal up to rounding, and
+    # at rounding level (a rank-1 candidate) every index is
+    if residuals.max() > 1e-9 * scale:
+        tied = np.flatnonzero(residuals >= residuals.max() - 1e-12 * scale)
+        assert verdict.witness[0] in tied
+
+
+def block_code_graph(rng, rep):
+    """Orbit span of I + X - pinch(X) for a random X: every P_j compresses it
+    to scalars, a sum of blocks generally does not."""
+    n = rep.dim
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return orbit_graph(rep, np.eye(n) + x - rep.pinch(x), allow_nonpositive=True)
+
+
+class TestKnillLaflammeForm:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_compression_reference(self, n, freqs, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        graph = block_code_graph(rng, rep)
+        candidates = [*rep.projections, rep.projections[:2].sum(axis=0)]
+        candidates += [random_projection(rng, n, r) for r in range(1, n + 1)]
+        for p in candidates:
+            assert_agrees(verify_anticlique(p, graph), compression_reference(p, graph),
+                          max_abs(graph.basis))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, seed=st.integers(0, 2**32 - 1))
+    def test_rep_blocks_match_the_summed_projection(self, n, freqs, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        graph = block_code_graph(rng, rep)
+        scale = max_abs(graph.basis)
+        pairs = [(_knill_laflamme(rep._isometry(j), graph, DEFAULT_TOL), p)
+                 for j, p in enumerate(rep.projections)]
+        for phi in [1.0] + [a.phi for a in merged_spectrum_angles(rep)]:
+            for result in anticliques_from_spectrum(rep, graph, [phi]):
+                # distinct eigenphases of U_phi lie at least 0.28 apart here
+                apart = np.angle(np.exp(1j * (np.multiply(rep.freqs, phi) - result.eigenphase)))
+                pairs.append((result.verdict, rep.projections[np.abs(apart) <= 1e-6].sum(axis=0)))
+        for verdict, summed in pairs:
+            reference = compression_reference(summed, graph)
+            assert_agrees(verdict, reference, scale)
+            assert_agrees(verify_anticlique(summed, graph), reference, scale)
 
 
 class TestSpectralEnumeration:

@@ -241,6 +241,27 @@ class TestQuadratureProperty:
         assert max_abs(rep.haar_average(a, n_samples) - rep.pinch(a)) <= 1e-12
 
 
+class TestBlockBasis:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, seed=st.integers(0, 2**32 - 1))
+    def test_unitary_split_into_the_projections(self, n, freqs, seed):
+        rep = random_rep(np.random.default_rng(seed), n, freqs[:n])
+        labels, w = rep._block_basis
+        assert max_abs(w.conj().T @ w - np.eye(n)) <= 1e-12
+        for j, p in enumerate(rep.projections):
+            assert max_abs(w[:, labels == j] @ w[:, labels == j].conj().T - p) <= 1e-12
+        ranks = np.rint(np.trace(rep.projections, axis1=1, axis2=2).real).astype(int)
+        assert np.bincount(labels, minlength=len(rep.freqs)).tolist() == ranks.tolist()
+        assert not labels.flags.writeable and not w.flags.writeable
+        assert rep._block_basis is rep._block_basis  # one eigh per instance
+
+    def test_isometry_of_a_group_spans_the_summed_projection(self):
+        rep = bell_rep(3)
+        v = rep._isometry([0, 2])
+        assert v.shape == (9, 6)
+        assert max_abs(v @ v.conj().T - rep.projections[0] - rep.projections[2]) <= 1e-12
+
+
 class TestCovariance:
     def test_conjugated_orbit_elements(self, block_rep):
         rng = np.random.default_rng(9)

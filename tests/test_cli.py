@@ -127,6 +127,20 @@ class TestSerialization:
         assert main(argv) == 2
         assert "error: frequencies must be integers, got 1.7" in capsys.readouterr().err
 
+    # beyond int64 the sampled unitaries raised TypeError, a traceback with exit 1
+    @pytest.mark.parametrize("freq,code", [(2**70, 2), (1e300, 2), (2**62, 0)],
+                             ids=["2**70", "1e300", "2**62"])
+    def test_frequency_must_fit_in_int64(self, freq, code, instance_files, tmp_path, capsys):
+        doc = rep_to_json(two_block_rep(P_PLUS_4))
+        doc["freqs"] = [freq, -1]
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["verify", "--rep", str(path), "--m0", instance_files["m0"],
+                "--proj", instance_files["proj"], "--samples", "5"]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert ("error: frequencies must be below 2**63 in magnitude" in err) == (code == 2)
+
     def test_rep_roundtrip(self):
         rep = two_block_rep(P_PLUS_4)
         doc = json.loads(canonical_dumps(rep_to_json(rep)))

@@ -3,41 +3,20 @@ golden/regen.py must reproduce its recorded exit code, stderr and report.
 
 Exit code, stderr, keys, assertion names, verdicts, span_dim and
 code_dimension (every string, bool and int) must match exactly; a float may
-move by at most NUMBER_TOL, so only rounding-level changes pass.  A
+move by at most regen.NUMBER_TOL, so only rounding-level changes pass.  A
 deliberate change is recorded by rerunning golden/regen.py.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
-from golden.regen import CASES, REPORTS, run_case
-
-NUMBER_TOL = 1e-14
-
-
-def mismatches(want, got, path: str = "") -> list[str]:
-    """Every place where ``got`` breaks the corpus rule, named by its key path;
-    list items that carry a "name" are labelled by it."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        if set(want) != set(got):
-            return [f"{path}: keys {sorted(want)} != {sorted(got)}"]
-        return [m for key in sorted(want) for m in mismatches(want[key], got[key], f"{path}.{key}")]
-    if isinstance(want, list) and isinstance(got, list):
-        if len(want) != len(got):
-            return [f"{path}: length {len(want)} != {len(got)}"]
-        found = []
-        for i, (w, g) in enumerate(zip(want, got)):
-            label = w["name"] if isinstance(w, dict) and "name" in w else i
-            found += mismatches(w, g, f"{path}[{label}]")
-        return found
-    if type(want) is float and type(got) is float:
-        same = abs(want - got) <= NUMBER_TOL
-    else:
-        same = type(want) is type(got) and want == got
-    return [] if same else [f"{path}: {want!r} != {got!r}"]
+from golden import regen
+from golden.regen import CASES, REPORTS, mismatches, run_case
 
 
 def test_every_report_has_a_case():
@@ -49,6 +28,20 @@ def test_report_matches_corpus(name):
     want = json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8"))
     found = mismatches(want, run_case(CASES[name]))
     assert not found, "\n".join(found)
+
+
+def test_regen_on_an_unchanged_tree_writes_no_file(tmp_path, monkeypatch, capsys):
+    # regen works on a copy of the reports, so a failure leaves the corpus alone
+    reports = tmp_path / "reports"
+    shutil.copytree(REPORTS, reports)
+    monkeypatch.setattr(regen, "REPORTS", reports)
+    written = []
+    write_text = Path.write_text
+    monkeypatch.setattr(
+        Path, "write_text", lambda path, *a, **kw: written.append(path) or write_text(path, *a, **kw))
+    assert regen.main_regen() == 0
+    assert written == []
+    assert capsys.readouterr().out == ""
 
 
 class TestComparator:
