@@ -78,7 +78,7 @@ CASES = {
                         "--k", "-1", "--json"],
     "demo4-tau-out-of-range": ["demo4", "--tau", "0.7", "--json"],
     **{f"bell-dim-{d}": ["bell", "--dim", str(d), "--j", str(j), "--json"]
-       for d, j in ((2, 1), (3, 2), (4, 4), (5, 3), (6, 6))},
+       for d, j in ((2, 1), (3, 2), (4, 4), (5, 3), (6, 6), (8, 5))},
     "bell-bad-index": ["bell", "--dim", "3", "--j", "4", "--json"],
     "scan-50": ["scan", "--grid", "0.05:0.45:50", "--json"],
     "scan-empty-grid": ["scan", "--grid", ",", "--json"],
