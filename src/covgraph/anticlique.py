@@ -27,7 +27,7 @@ import numpy as np
 
 from .circle import CircleRep
 from .graphs import OperatorGraph
-from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, fingerprint, is_projection
+from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, adjoint, fingerprint, is_projection
 
 __all__ = [
     "AnticliqueVerdict",
@@ -85,23 +85,29 @@ def verify_anticlique(
     if rank == 0:
         raise ValueError("candidate projection has rank 0")
     _, vecs = np.linalg.eigh(p)  # ascending: the last rank columns span the range
-    return _knill_laflamme(vecs[:, -rank:], graph, tol)
+    return _knill_laflamme(adjoint(graph._w) @ vecs[:, -rank:], graph, tol)
 
 
 def _knill_laflamme(v: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> AnticliqueVerdict:
-    """The compression check on an isometry V (n x r) onto the range of P.
+    """The compression check on an isometry V' (n x r) onto the range of P, in
+    the graph's frame W (V = W V').
 
-    X_A = V^dagger A V for the whole basis in one product, c_A = tr X_A / r,
-    and the residual of A is max_abs(V (X_A - c_A I) V^dagger), which equals
-    P A P - c_A P.  The witness is the last basis index attaining the maximum.
+    X_A = V'^dagger B' V' over the rows where V' is nonzero, for the whole frame
+    basis in one product, c_A = tr X_A / r, and the residual of A is
+    max_abs(V (X_A - c_A I) V^dagger) = max_abs(P A P - c_A P), 0 where
+    X_A - c_A I is.  The witness is the last basis index attaining the maximum.
     """
     rank = v.shape[1]
-    x = v.conj().T @ graph.basis @ v
-    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view into x
+    rows = np.flatnonzero(v.any(axis=1))
+    v = v[rows]
+    iso = graph._w[:, rows] @ v  # V
+    x = adjoint(v) @ graph._frame_basis[:, rows[:, None], rows] @ v
+    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view: x is a fresh product
     constants = diagonals.sum(axis=1) / rank
     diagonals -= constants[:, None]
-    deviations = v @ x @ v.conj().T  # P A P - c_A P for every basis element A
-    residuals = np.abs(deviations).max(axis=(1, 2))
+    live = x.reshape(len(x), rank * rank).any(axis=1)
+    residuals = np.zeros(len(x))
+    residuals[live] = np.abs(iso @ x[live] @ adjoint(iso)).max(axis=(1, 2))
     worst = len(residuals) - 1 - int(np.argmax(residuals[::-1])) if len(residuals) else None
     max_residual = 0.0 if worst is None else float(residuals[worst])
     passed = max_residual <= tol.eq_tol and rank >= 2
@@ -110,7 +116,8 @@ def _knill_laflamme(v: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> Anti
         constants=tuple(constants.tolist()),
         max_residual=max_residual,
         code_dimension=rank,
-        witness=None if passed or worst is None else (worst, fingerprint(deviations[worst])),
+        witness=None if passed or worst is None else (
+            worst, fingerprint(iso @ x[worst] @ adjoint(iso))),
     )
 
 
@@ -137,7 +144,7 @@ def anticliques_from_spectrum(
         phases = np.multiply(rep.freqs, phi)[blocks] % (2.0 * math.pi)
         for eigenphase, group in _phase_clusters(phases, ranks[blocks], tol.degeneracy_tol):
             if ranks[blocks[group]].sum() >= 2:
-                verdict = _knill_laflamme(rep._isometry(blocks[group]), graph, tol)
+                verdict = _knill_laflamme(rep._isometry(blocks[group], graph._w), graph, tol)
                 results.append(SpectralVerdict(phi=phi, eigenphase=eigenphase, verdict=verdict))
     return results
 

@@ -86,12 +86,16 @@ class CircleRep:
         labels.flags.writeable = w.flags.writeable = False
         return labels, w
 
-    def _isometry(self, blocks) -> np.ndarray:
-        """Isometry onto the range of the sum of P_j over the block indices given."""
+    def _isometry(self, blocks, frame: np.ndarray | None = None) -> np.ndarray:
+        """Isometry onto the range of the sum of P_j over the block indices given,
+        in the coordinates of a unitary frame if one is given."""
         labels, w = self._block_basis
         chosen = np.zeros(len(self.freqs), dtype=bool)
         chosen[blocks] = True
-        return w[:, chosen[labels]]
+        if frame is w:  # W^dagger W = I exactly: columns of the identity
+            return np.eye(self.dim)[:, chosen[labels]]
+        iso = w[:, chosen[labels]]
+        return iso if frame is None else frame.conj().T @ iso
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> list[RepViolation]:
         """Check projection/orthogonality/completeness invariants; empty list iff valid."""

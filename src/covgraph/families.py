@@ -357,7 +357,7 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
         ),
         graph=graph,
         system=is_operator_system(graph, tol),
-        verdict_plus=_knill_laflamme(rep._isometry(0), graph, tol),
-        verdict_minus=_knill_laflamme(rep._isometry(1), graph, tol),
+        verdict_plus=_knill_laflamme(rep._isometry(0, graph._w), graph, tol),
+        verdict_minus=_knill_laflamme(rep._isometry(1, graph._w), graph, tol),
         entanglement=entanglement_report(params, tol),
     )

@@ -4,14 +4,16 @@ Conjugation expands the seed into frequency components: U_phi M U_phi^dagger
 = sum_m exp(i*m*phi) A_m with A_m collecting the blocks P_j M P_k at
 frequency difference m = s_j - s_k.  The span of the orbit equals the span
 of the nonzero components (a Vandermonde argument over distinct
-frequencies), which makes the "analytic" construction exact; the sampled
-construction is kept as an independent numerical cross-check.
+frequencies), and components at distinct m are HS-orthogonal, so normalized
+they are an orthonormal basis, built and kept in the rep's block frame.  The
+sampled construction is kept as an independent numerical cross-check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,34 +54,53 @@ class FrequencyComponent:
     operator: np.ndarray
 
 
-@dataclass(frozen=True)
 class OperatorGraph:
-    """HS-orthonormal basis of an operator span as one (span_dim, dim, dim) array."""
+    """HS-orthonormal basis of an operator span as one (span_dim, dim, dim) array,
+    held as a unitary frame W and the basis B' = W^dagger B W in it; ``basis``
+    is formed on first use.  A graph built from a basis has W = I."""
 
-    dim: int
-    basis: np.ndarray
-    source: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=complex)
+    def __init__(self, dim: int, basis, source: dict | None = None):
+        basis = np.asarray(basis, dtype=complex)
         if basis.size == 0:
-            basis = basis.reshape(0, self.dim, self.dim)
-        if basis.shape[1:] != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim} basis matrices, got {basis.shape}")
-        object.__setattr__(self, "basis", basis)
+            basis = basis.reshape(0, dim, dim)
+        if basis.shape[1:] != (dim, dim):
+            raise ValueError(f"expected {dim}x{dim} basis matrices, got {basis.shape}")
+        self.dim, self.source = dim, {} if source is None else source
+        self.basis = self._frame_basis = basis  # W = I: the frame basis is the basis
+        self._w = np.eye(dim, dtype=complex)
+
+    @classmethod
+    def _in_frame(cls, w: np.ndarray, frame_basis: np.ndarray, source: dict) -> OperatorGraph:
+        graph = cls.__new__(cls)
+        graph.dim, graph.source, graph._w, graph._frame_basis = len(w), source, w, frame_basis
+        return graph
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        return _from_frame(self._w, self._frame_basis)
 
     @property
     def span_dim(self) -> int:
-        return len(self.basis)
+        return len(self._frame_basis)
+
+    def _project_frame(self, a: np.ndarray) -> np.ndarray:
+        """HS-orthogonal projection onto the span, of matrices given in the frame."""
+        flat = self._frame_basis.reshape(self.span_dim, self.dim * self.dim)
+        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat.T).conj()  # <b'_j, a>
+        return (coeffs @ flat).reshape(a.shape)
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection onto the span of one matrix or a stack of them."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrices, got {a.shape}")
-        flat = _flat_basis(self)
-        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat).conj()  # <b_j, a>
-        return (coeffs @ flat.T).reshape(a.shape)
+        return _from_frame(self._w, self._project_frame(adjoint(self._w) @ a @ self._w))
+
+
+def _from_frame(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """W A W^dagger for a frame matrix or stack, the right product as one GEMM."""
+    right = (a.reshape(-1, len(w)) @ adjoint(w)).reshape(a.shape)
+    return np.matmul(w, right, out=out)
 
 
 class OperatorSystemCheck(NamedTuple):
@@ -89,29 +110,32 @@ class OperatorSystemCheck(NamedTuple):
     adjoint_residual: float
 
 
+def _frame_components(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
+    """(m, A'_m, ||A_m||_HS), sorted by m, for each m with ||A_m||_HS >
+    eq_tol * ||seed||_HS: A'_m is M' = W^dagger M W on the entries with
+    s_a - s_b = m, so A_m = W A'_m W^dagger.  Needs a valid representation."""
+    seed = rep._operator(seed)
+    _require_finite(seed)  # a NaN cut would drop every component
+    labels, w = rep._block_basis
+    freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
+    ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
+    slot = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
+    frame = adjoint(w) @ seed @ w
+    scale = max_abs(frame) or 1.0  # so that no square overflows or underflows
+    squares = np.bincount(slot.ravel(), np.abs(frame.ravel() / scale) ** 2, len(ms))
+    kept = np.flatnonzero(squares > tol.eq_tol**2 * squares.sum())
+    comps = np.where(slot == kept[:, None, None], frame, 0.0)
+    return ms[kept], comps, scale * np.sqrt(squares[kept])
+
+
 def frequency_components(
     rep: CircleRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[FrequencyComponent]:
-    """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, that are
-    nonzero relative to the seed: max_abs(A_m) > eq_tol * max_abs(seed)."""
-    seed = rep._operator(seed)
-    _require_finite(seed)  # a NaN cut would drop every component
-    cut = tol.eq_tol * max_abs(seed)
-    acc: dict[int, np.ndarray] = {}
-    for sj, pj in zip(rep.freqs, rep.projections):
-        left = pj @ seed
-        for sk, pk in zip(rep.freqs, rep.projections):
-            m = sj - sk
-            block = left @ pk
-            if m in acc:
-                acc[m] += block
-            else:
-                acc[m] = block
-    return [
-        FrequencyComponent(m, acc[m])
-        for m in sorted(acc)
-        if max_abs(acc[m]) > cut
-    ]
+    """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, with
+    ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid."""
+    ms, comps, _ = _frame_components(rep, seed, tol)
+    comps = _from_frame(rep._block_basis[1], comps)
+    return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps)]
 
 
 def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
@@ -135,21 +159,15 @@ def orbit_graph(
     tol: Tolerance = DEFAULT_TOL,
     allow_nonpositive: bool = False,
 ) -> OperatorGraph:
-    """Span of the conjugation orbit of the seed, via its frequency components."""
+    """Span of the conjugation orbit of the seed: the components A_m / ||A_m||_HS,
+    held in the rep's block frame.  The rep must be valid; that is not checked."""
     seed = np.asarray(seed, dtype=complex)
     if not allow_nonpositive:
         _positivity_check(seed, tol)
-    comps = frequency_components(rep, seed, tol)
-    basis, _, _ = gram_schmidt_operators([c.operator for c in comps], tol)
-    return OperatorGraph(
-        dim=rep.dim,
-        basis=basis,
-        source={
-            "method": "frequency-components",
-            "freqs": rep.freqs,
-            "seed": fingerprint(seed),
-        },
-    )
+    _, comps, norms = _frame_components(rep, seed, tol)
+    comps /= norms[:, None, None]
+    source = {"method": "frequency-components", "freqs": rep.freqs, "seed": fingerprint(seed)}
+    return OperatorGraph._in_frame(rep._block_basis[1], comps, source)
 
 
 def sampled_orbit_graph(
@@ -205,13 +223,14 @@ def _span_gap(a: OperatorGraph, b: OperatorGraph) -> float:
 def is_operator_system(
     graph: OperatorGraph, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorSystemCheck:
-    """Check the two operator-system axioms: identity membership, adjoint closure."""
+    """Check the two operator-system axioms: identity membership, adjoint closure.
+    Both run in the graph's frame (I and B'^dagger there) with max-entry
+    residuals in the original frame."""
     eye = np.eye(graph.dim, dtype=complex)
-    id_res = max_abs(eye - graph.project(eye))
-    adjoints = np.conj(graph.basis.transpose(0, 2, 1), order="C")
-    residuals = graph.project(adjoints)
-    residuals -= adjoints
-    adj_res = max_abs(residuals)
+    id_res = max_abs(_from_frame(graph._w, eye - graph._project_frame(eye)))
+    residuals = np.conj(graph._frame_basis.transpose(0, 2, 1), order="C")
+    residuals -= graph._project_frame(residuals)
+    adj_res = max_abs(_from_frame(graph._w, residuals, out=residuals))
     return OperatorSystemCheck(
         contains_identity=id_res <= tol.eq_tol,
         adjoint_closed=adj_res <= tol.eq_tol,

@@ -7,7 +7,8 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from covgraph import CircleRep
+from covgraph import CircleRep, OperatorGraph, gram_schmidt_operators, max_abs
+from covgraph.linalg import DEFAULT_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -63,6 +64,21 @@ def random_rep(rng: np.random.Generator, n: int, freqs) -> CircleRep:
     cuts = np.sort(rng.choice(np.arange(1, n), size=len(freqs) - 1, replace=False))
     cols = np.split(haar_unitary(rng, n), cuts, axis=1)
     return CircleRep(freqs=tuple(freqs), projections=tuple(c @ c.conj().T for c in cols))
+
+
+def pair_loop_graph(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL) -> OperatorGraph:
+    """Reference orbit span without the block frame: the components
+    A_m = sum_{s_j - s_k = m} P_j M P_k from the pair loop over the
+    projections, those with max_abs(A_m) > eq_tol * max_abs(seed), then
+    Gram-Schmidt."""
+    acc: dict[int, np.ndarray] = {}
+    for sj, pj in zip(rep.freqs, rep.projections):
+        for sk, pk in zip(rep.freqs, rep.projections):
+            acc[sj - sk] = acc.get(sj - sk, 0.0) + pj @ seed @ pk
+    cut = tol.eq_tol * max_abs(seed)
+    kept = [acc[m] for m in sorted(acc) if max_abs(acc[m]) > cut]
+    basis, _, _ = gram_schmidt_operators(kept, tol)
+    return OperatorGraph(rep.dim, basis)
 
 
 def random_offblock(rng: np.random.Generator) -> np.ndarray:

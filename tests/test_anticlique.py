@@ -19,6 +19,7 @@ from covgraph import (
     first_factor_projection,
     frequency_components,
     gram_schmidt_operators,
+    is_operator_system,
     max_abs,
     merged_spectrum_angles,
     orbit_graph,
@@ -267,7 +268,7 @@ class TestKnillLaflammeForm:
         rep = random_rep(rng, n, freqs[:n])
         graph = block_code_graph(rng, rep)
         scale = max_abs(graph.basis)
-        pairs = [(_knill_laflamme(rep._isometry(j), graph, DEFAULT_TOL), p)
+        pairs = [(_knill_laflamme(rep._isometry(j, graph._w), graph, DEFAULT_TOL), p)
                  for j, p in enumerate(rep.projections)]
         for phi in [1.0] + [a.phi for a in merged_spectrum_angles(rep)]:
             for result in anticliques_from_spectrum(rep, graph, [phi]):
@@ -278,6 +279,55 @@ class TestKnillLaflammeForm:
             reference = compression_reference(summed, graph)
             assert_agrees(verdict, reference, scale)
             assert_agrees(verify_anticlique(summed, graph), reference, scale)
+
+
+def assert_same_verdict(framed, plain, scale):
+    assert (framed.passed, framed.code_dimension) == (plain.passed, plain.code_dimension)
+    assert max_abs(np.subtract(framed.constants, plain.constants)) <= 1e-12 * scale
+    assert abs(framed.max_residual - plain.max_residual) <= 1e-12 * scale
+
+
+class TestFrameAgainstPlain:
+    """An orbit graph held in the rep's block frame against the same basis as
+    a plain graph, whose frame is I."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, codes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_every_check_agrees(self, n, freqs, codes, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        if codes:
+            graph = block_code_graph(rng, rep)
+        else:
+            graph = orbit_graph(rep, random_hermitian(rng, n), allow_nonpositive=True)
+        plain = OperatorGraph(dim=n, basis=graph.basis)
+        assert plain.span_dim == graph.span_dim
+        scale = max_abs(graph.basis)
+
+        a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
+        assert max_abs(graph.project(a) - plain.project(a)) <= 1e-12 * max_abs(a)
+        framed_system, plain_system = is_operator_system(graph), is_operator_system(plain)
+        assert framed_system[:2] == plain_system[:2]
+        assert max_abs(np.subtract(framed_system[2:], plain_system[2:])) <= 1e-12 * scale
+
+        groups = [[j] for j in range(len(rep.freqs))]
+        for angle in merged_spectrum_angles(rep):
+            groups += [list(g) for g in angle.partition if len(g) > 1]
+        for blocks in groups:
+            assert_same_verdict(
+                _knill_laflamme(rep._isometry(blocks, graph._w), graph, DEFAULT_TOL),
+                _knill_laflamme(rep._isometry(blocks, plain._w), plain, DEFAULT_TOL),
+                scale,
+            )
+        phis = [1.0] + [angle.phi for angle in merged_spectrum_angles(rep)]
+        spectral = zip(anticliques_from_spectrum(rep, graph, phis),
+                       anticliques_from_spectrum(rep, plain, phis), strict=True)
+        for framed, flat in spectral:
+            assert (framed.phi, framed.eigenphase) == (flat.phi, flat.eigenphase)
+            assert_same_verdict(framed.verdict, flat.verdict, scale)
+        candidates = [*rep.projections] + [random_projection(rng, n, r) for r in range(1, n + 1)]
+        for p in candidates:
+            assert_same_verdict(verify_anticlique(p, graph), verify_anticlique(p, plain), scale)
 
 
 class TestSpectralEnumeration:

@@ -155,6 +155,25 @@ class TestBellCodeReport:
         assert report.adjoint_residual == check.adjoint_residual
         assert report.adjoint_closed == (report.adjoint_residual <= 1e-10)
 
+    def test_pinch_residual_is_the_pinching(self):
+        for d, j in ((3, 2), (6, 1)):
+            seed = first_factor_projection(d, j)
+            expected = max_abs(bell_rep(d).pinch(seed) - np.eye(d * d) / d)
+            assert bell_code_report(d, j).pinch_residual == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_block_residuals_stay_at_rounding(self, d):
+        # each check subtracts c I from a block of the frame basis in place; on
+        # a copy the residual would read about c = 1/d instead of rounding
+        for j in (1, d):
+            report = bell_code_report(d, j)
+            assert max(v.max_residual for v in report.verdicts) <= 1e-14
+
+    def test_checks_leave_the_basis_in_the_frame(self):
+        report = bell_code_report(5, 2)
+        assert report.passed
+        assert "basis" not in vars(report.graph)  # no back-transform of the span
+
     def test_graph_dimension_counts_components(self):
         # frequencies 1..d give 2d-1 distinct differences, all present
         for d in (2, 3):

@@ -27,11 +27,13 @@ from covgraph import (
     two_block_rep,
     verify_anticlique,
 )
+import covgraph.graphs
 from covgraph.graphs import _span_gap
 from helpers import (
     FREQS,
     P_PLUS_4,
     SIGMA_X,
+    pair_loop_graph,
     random_hermitian,
     random_offblock,
     random_projection,
@@ -201,6 +203,57 @@ class TestOrbitGraph:
         assert graph.source["method"] == "frequency-components"
         assert graph.source["freqs"] == (1, -1)
         assert isinstance(graph.source["seed"], str)
+
+
+def orbit_seed(rng, rep, kind):
+    """A dense seed, its pinching (only the m = 0 component survives) or the
+    identity plus the rest of it (no block-diagonal part beyond I)."""
+    n = rep.dim
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return {"dense": x, "pinched": rep.pinch(x), "offblock": np.eye(n) + x - rep.pinch(x)}[kind]
+
+
+class TestAnalyticBasis:
+    # mixed-sign frequencies, Haar-rotated blocks, seeds scaled 1e-100..1e100
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        freqs=FREQS,
+        kind=st.sampled_from(["dense", "pinched", "offblock"]),
+        exponent=st.floats(-100.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normalized_components_span_what_gram_schmidt_spans(
+        self, n, freqs, kind, exponent, seed
+    ):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        m0 = 10.0**exponent * orbit_seed(rng, rep, kind)
+        graph = orbit_graph(rep, m0, allow_nonpositive=True)
+        gram = np.tensordot(graph.basis.conj(), graph.basis, axes=([1, 2], [1, 2]))
+        assert max_abs(gram - np.eye(graph.span_dim)) <= 1e-12
+        reference = pair_loop_graph(rep, m0)
+        assert graph.span_dim == reference.span_dim
+        assert _span_gap(graph, reference) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-80, 1e80])
+    def test_cut_is_relative_to_the_seed_hs_norm(self, block_rep, scale):
+        # ||I||_HS = 2 and ||F||_HS = max|F| = 1: the HS rule keeps the corner
+        # once eps / 2 > eq_tol, where a max-entry rule would keep it at eps > eq_tol
+        f = np.zeros((4, 4), dtype=complex)
+        f[0, 2] = 1.0
+        for eps, span_dim in ((2.2e-10, 2), (1.8e-10, 1)):
+            seed = scale * (np.eye(4) + eps * f)
+            assert orbit_graph(block_rep, seed, allow_nonpositive=True).span_dim == span_dim
+            assert len(frequency_components(block_rep, seed)) == span_dim
+
+    def test_runs_no_gram_schmidt(self, block_rep, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbit_graph orthonormalized its components")
+
+        monkeypatch.setattr(covgraph.graphs, "gram_schmidt_operators", refuse)
+        rng = np.random.default_rng(14)
+        assert orbit_graph(block_rep, two_block_seed(rng)).span_dim == 3
 
 
 class TestSampledOrbitGraph:
