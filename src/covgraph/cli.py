@@ -165,26 +165,18 @@ def parse_angle(text: str) -> float:
 
 
 def resolve_tolerance(tol_flag: float | None) -> Tolerance:
+    """The tolerance from --tol, else from COVGRAPH_TOL, else DEFAULT_TOL.
+    ``Tolerance`` rejects an unusable value with a ValueError (exit 2)."""
     eq_tol = tol_flag
     if eq_tol is None:
         env = os.environ.get("COVGRAPH_TOL")
-        if env is not None:
-            try:
-                eq_tol = float(env)
-            except ValueError as exc:
-                raise CliInputError(f"COVGRAPH_TOL is not a float: {env!r}") from exc
-    if eq_tol is None:
-        return DEFAULT_TOL
-    if not 0.0 < eq_tol < math.inf:
-        raise CliInputError(f"tolerance must be positive and finite, got {eq_tol}")
-    if eq_tol < 1e-14:  # at 1e-15, bell --dim 6 --j 2 already fails on rounding
-        raise CliInputError(f"tolerance must be at least 1e-14, got {eq_tol}: "
-                            "below it, rounding error alone fails exact inputs")
-    return Tolerance(
-        eq_tol=eq_tol,
-        eig_tol=min(DEFAULT_TOL.eig_tol, eq_tol),
-        degeneracy_tol=DEFAULT_TOL.degeneracy_tol,
-    )
+        if env is None:
+            return DEFAULT_TOL
+        try:
+            eq_tol = float(env)
+        except ValueError as exc:
+            raise CliInputError(f"COVGRAPH_TOL is not a float: {env!r}") from exc
+    return Tolerance(eq_tol=eq_tol)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -470,7 +462,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, resolve_tolerance(args.tol))
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

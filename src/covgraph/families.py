@@ -29,7 +29,9 @@ import numpy as np
 from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import two_block_rep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
-from .linalg import DEFAULT_TOL, Tolerance, _shannon_bits, adjoint, max_abs, num_close, schmidt
+from .linalg import (
+    DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, max_abs, num_close, schmidt
+)
 
 __all__ = [
     "FamilyParams",
@@ -69,32 +71,33 @@ class FamilyParams:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 0.5:
             raise ValueError(f"tau must lie in [0, 1/2], got {self.tau}")
+        object.__setattr__(self, "k", _as_integer(self.k, "k must be an integer"))
 
     @property
     def z3(self) -> float:
         return self.z1 + self.z4 - self.z2 + math.pi * (2 * self.k + 1)
 
 
+def _corner(params: FamilyParams) -> np.ndarray:
+    """The off-block corner [[a, d], [q, b]] (rows e+, h+; columns e-, h-):
+    magnitudes [[tau, rho], [rho, tau]] at phases [[z1, z2], [z3, z4]], with
+    e^{i z3} formed as -e^{i (z1 + z4 - z2)}, which is exact for every k."""
+    tau = params.tau
+    rho = math.sqrt(max(0.25 - tau * tau, 0.0))
+    phases = np.array([[params.z1, params.z2], [params.z1 + params.z4 - params.z2, params.z4]])
+    return np.array([[tau, rho], [-rho, tau]]) * np.exp(1j * phases)
+
+
 def family_projection(params: FamilyParams) -> np.ndarray:
     """The 4x4 rank-2 projection with the given parameters.
 
-    Hermitian and idempotent to rounding (~1e-16), with trace exactly 2.
+    Hermitian and idempotent to rounding (~1e-16) for every k, with trace
+    exactly 2.
     """
-    tau = params.tau
-    rho = math.sqrt(max(0.25 - tau * tau, 0.0))
-    a = tau * np.exp(1j * params.z1)
-    d = rho * np.exp(1j * params.z2)
-    q = rho * np.exp(1j * params.z3)
-    b = tau * np.exp(1j * params.z4)
-    return np.array(
-        [
-            [0.5, 0.0, a, d],
-            [0.0, 0.5, q, b],
-            [np.conj(a), np.conj(q), 0.5, 0.0],
-            [np.conj(d), np.conj(b), 0.0, 0.5],
-        ],
-        dtype=complex,
-    )
+    q = np.eye(4, dtype=complex) / 2.0
+    q[:2, 2:] = _corner(params)
+    q[2:, :2] = q[:2, 2:].conj().T
+    return q
 
 
 def _wrap_angle(x: float) -> float:
@@ -184,10 +187,11 @@ class TensorIdentification:
 
 
 def tensor_identification(
-    targets: dict[str, np.ndarray], normalize: bool = True, tol: Tolerance = DEFAULT_TOL
+    targets: dict[str, np.ndarray], tol: Tolerance = DEFAULT_TOL
 ) -> TensorIdentification:
     """Build the identification from label -> target vector (labels xx, xy, yx, yy).
 
+    Each target is scaled to unit norm (a zero target raises ValueError).
     Targets must be linearly independent: the Gram determinant is required to
     exceed eq_tol, otherwise the four vectors span fewer than 4 dimensions
     and no identification exists.
@@ -199,12 +203,10 @@ def tensor_identification(
         v = np.asarray(targets[label], dtype=complex).reshape(-1)
         if v.size != 4:
             raise ValueError("each target must be a vector of length 4")
-        if normalize:
-            nrm = np.linalg.norm(v)
-            if nrm == 0.0:
-                raise ValueError(f"target {label} is the zero vector")
-            v = v / nrm
-        cols.append(v)
+        nrm = np.linalg.norm(v)
+        if nrm == 0.0:
+            raise ValueError(f"target {label} is the zero vector")
+        cols.append(v / nrm)
     matrix = np.column_stack(cols)
     gram = adjoint(matrix) @ matrix
     det = np.linalg.det(gram)
@@ -231,9 +233,7 @@ def corrected_identification(
     """
     q = family_projection(params)
     xi_q, eta_q, xi_c, eta_c = spanning_vectors(q, tol)
-    return tensor_identification(
-        {"xx": xi_q, "xy": eta_q, "yy": xi_c, "yx": eta_c}, normalize=True, tol=tol
-    )
+    return tensor_identification({"xx": xi_q, "xy": eta_q, "yy": xi_c, "yx": eta_c}, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -272,19 +272,19 @@ def entanglement_report(
     vanishes).
     """
     tau = params.tau
-    rho = math.sqrt(max(0.25 - tau * tau, 0.0))
     ident = corrected_identification(params, tol)
 
     printed = (1.0 - 4.0 * tau * tau, 4.0 * tau * tau)
     printed_entropy = _shannon_bits(printed)
 
-    denom = rho * np.exp(1j * params.z3) + tau * np.exp(1j * params.z4)
+    q, b = _corner(params)[1]
+    denom = q + b
     if abs(denom) <= tol.eq_tol:
         prefactor_deviation = math.inf
     else:
         unnormalized = np.zeros(4, dtype=complex)
-        unnormalized[PRODUCT_LABELS.index("xx")] = rho * np.exp(1j * params.z3)
-        unnormalized[PRODUCT_LABELS.index("yy")] = tau * np.exp(1j * params.z4)
+        unnormalized[PRODUCT_LABELS.index("xx")] = q
+        unnormalized[PRODUCT_LABELS.index("yy")] = b
         prefactor_deviation = abs(
             float(np.linalg.norm((2.0 / denom) * unnormalized)) - 1.0
         )

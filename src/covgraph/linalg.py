@@ -29,25 +29,26 @@ __all__ = [
     "fingerprint",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Tolerance:
-    """Numerical thresholds shared across the package.
-
-    ``eq_tol`` governs equality/residual checks, ``degeneracy_tol`` the
-    clustering of eigenphases.  ``eig_tol`` is kept for compatibility and
-    must not exceed ``eq_tol``, but no eigensolver reads it: LAPACK solves
-    to rounding without a convergence target.
+    """Numerical thresholds shared across the package; the CLI applies the
+    same rule.  ``eq_tol`` governs equality/residual checks and must be at
+    least 1e-14: below it rounding alone fails exact inputs (the Bell d = 6,
+    j = 2 codes fail at 1e-15).  ``degeneracy_tol`` governs the clustering of
+    eigenphases.  Both must be finite, and the fields are keyword-only.
     """
 
     eq_tol: float = 1e-10
-    eig_tol: float = 1e-12
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
-        if not all(0.0 <= t < math.inf for t in (self.eq_tol, self.eig_tol, self.degeneracy_tol)):
-            raise ValueError("tolerances must be finite and non-negative")
-        if self.eq_tol < self.eig_tol:
-            raise ValueError("eq_tol must be >= eig_tol")
+        if not 0.0 < self.eq_tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.eq_tol}")
+        if self.eq_tol < 1e-14:
+            raise ValueError(f"tolerance must be at least 1e-14, got {self.eq_tol}: "
+                             "below it, rounding error alone fails exact inputs")
+        if not 0.0 <= self.degeneracy_tol < math.inf:
+            raise ValueError(f"degeneracy_tol must be finite and >= 0, got {self.degeneracy_tol}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -95,15 +96,18 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     return max_abs(p - adjoint(p)) <= tol.eq_tol and max_abs(p @ p - p) <= tol.eq_tol
 
 
-def fingerprint(a: np.ndarray, digits: int = 12) -> str:
-    """Short deterministic hex digest of a matrix, for provenance metadata:
-    entries rounded relative to the largest one, which is hashed with them."""
+_FINGERPRINT_DIGITS = 12
+
+
+def fingerprint(a: np.ndarray) -> str:
+    """Short deterministic hex digest of a matrix, for provenance metadata: entries
+    rounded to 12 digits relative to the largest one, which is hashed with them."""
     a = _as_complex(a)
     scale = max_abs(a) or 1.0
-    data = np.round(a / scale, digits) + 0.0  # normalize -0.0
+    data = np.round(a / scale, _FINGERPRINT_DIGITS) + 0.0  # normalize -0.0
     h = hashlib.sha1()
     h.update(str(a.shape).encode())
-    h.update(f"{scale:.{digits - 1}e}".encode())
+    h.update(f"{scale:.{_FINGERPRINT_DIGITS - 1}e}".encode())
     h.update(data.tobytes())
     return h.hexdigest()[:16]
 

@@ -492,3 +492,13 @@ class TestMergedSpectrumAngles:
     def test_single_frequency_has_no_merges(self):
         rep = CircleRep(freqs=(3,), projections=(np.eye(2).astype(complex),))
         assert merged_spectrum_angles(rep) == []
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda rep: anticliques_from_spectrum(rep, identity_graph(3), [1.0]),
+     "graph and representation dimensions differ"),
+], ids=["graph-of-another-dimension"])
+def test_input_rejections(block_rep, call, message):
+    with pytest.raises(ValueError) as raised:
+        call(block_rep)
+    assert str(raised.value) == message

@@ -194,3 +194,12 @@ class TestBellCodeReport:
             p for p in rep.projections if not verify_anticlique(p, graph).passed
         ]
         assert failures  # a generic rank-d seed does not certify
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: first_factor_projection(1, 1), "dimension d must be at least 2"),
+], ids=["first-factor-d-1"])
+def test_input_rejections(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

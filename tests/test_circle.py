@@ -298,3 +298,13 @@ class TestCovariance:
 def test_two_block_rejects_non_projection():
     with pytest.raises(ValueError):
         two_block_rep(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: CircleRep(freqs=(), projections=()),
+     "freqs and projections must be non-empty and equal-length"),
+], ids=["empty"])
+def test_input_rejections(build, message):
+    with pytest.raises(ValueError) as raised:
+        build()
+    assert str(raised.value) == message

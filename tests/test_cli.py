@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import covgraph.cli
 from covgraph import (
     FamilyParams,
+    Tolerance,
     bell_code_report,
     family_projection,
     family_report,
@@ -236,6 +238,18 @@ class TestDemo4:
         assert main(["demo4", "--tau", "0.7"]) == 2
         assert "tau" in capsys.readouterr().err
 
+    # k used to enter the phase as the float pi(2k + 1): 10**15 read the seed as
+    # not positive semidefinite, and 401 digits overflowed
+    @pytest.mark.parametrize("k", [10**6, 10**15, 10**400], ids=["1e6", "1e15", "1e400"])
+    def test_winding_k_changes_only_the_echoed_input(self, k, capsys):
+        argv = ["demo4", "--tau", "0.3", "--z1", "0.7", "--z2", "1.9", "--z4", "2.6", "--k"]
+        want_code, want = run_json(capsys, argv + ["0"])
+        code, report = run_json(capsys, argv + [str(k)])
+        assert report["inputs"].pop("k") == k
+        want["inputs"].pop("k")
+        assert code == want_code == 0
+        assert report == want
+
 
 class TestBell:
     def test_small_dimension(self, capsys):
@@ -429,6 +443,53 @@ class TestScan:
         assert main(["scan", "--grid", ","]) == 2
 
 
+# rows that reached no test: each is a usage error with its own message
+VERIFY = ["verify", "--rep", "{rep}", "--m0", "{m0}", "--proj", "{proj}"]
+REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
+
+
+@pytest.mark.parametrize("argv,docs,env,message", [
+    (VERIFY, {"m0": [1, 2]}, None, "matrix document must be a JSON object"),
+    (VERIFY, {"rep": [1]}, None, "representation document must be a JSON object"),
+    (VERIFY, {"m0": {"rows": 0, "cols": 2, "data": []}}, None,
+     "matrix dimensions must be positive"),
+    (VERIFY, {"m0": {"rows": 2, "cols": 0, "data": []}}, None,
+     "matrix dimensions must be positive"),
+    (VERIFY, {"rep": {"dim": 4, "projections": REP_DOC["projections"]}}, None,
+     "representation document missing/invalid field: 'freqs'"),
+    (VERIFY, {"rep": {**REP_DOC, "dim": 3}}, None, "projections are 4x4, but dim is 3"),
+    (["verify", "--rep", "{tmp}/missing.json", "--m0", "{m0}", "--proj", "{proj}"], {}, None,
+     "cannot read {tmp}/missing.json"),
+    (["bell", "--dim", "3", "--j", "1"], {}, "abc", "COVGRAPH_TOL is not a float: 'abc'"),
+    (["scan", "--grid", "0:1"], {}, None, "range grid must be start:stop:count"),
+    (["scan", "--grid", "0:1:0"], {}, None, "grid count must be >= 1"),
+    (["scan", "--grid", "0:1:x"], {}, None, "malformed grid '0:1:x'"),
+    (["scan", "--grid", "a,b"], {}, None, "malformed grid 'a,b'"),
+], ids=["matrix-not-object", "rep-not-object", "rows-0", "cols-0", "rep-without-freqs",
+        "dim-disagrees", "unreadable-rep", "env-tol-not-float", "grid-two-fields",
+        "grid-count-0", "grid-count-not-int", "grid-not-floats"])
+def test_input_rejections(argv, docs, env, message, instance_files, tmp_path, capsys, monkeypatch):
+    paths = {**instance_files, "tmp": str(tmp_path)}
+    for name, doc in docs.items():
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        paths[name] = str(path)
+    if env is not None:
+        monkeypatch.setenv("COVGRAPH_TOL", env)
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+
+
+# a (d, d, d**4) stack at d = 3000 used to end in a traceback with exit 1
+def test_allocation_failure_exits_2(capsys, monkeypatch):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 1.15 PiB")
+
+    monkeypatch.setattr(covgraph.cli, "bell_code_report", refuse)
+    assert main(["bell", "--dim", "3000", "--j", "1"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 1.15 PiB\n"
+
+
 class TestTolerance:
     # inf used to pass bell with span_dim 0; nan and 0 failed with unrelated messages
     @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
@@ -456,6 +517,12 @@ class TestTolerance:
 
     def test_tolerance_at_the_floor_is_accepted(self):
         assert main(["bell", "--dim", "6", "--j", "2", "--tol", "1e-14"]) == 0
+
+    # the library and the CLI accept the same values; 5e-13 once passed only the CLI
+    @pytest.mark.parametrize("value", ["1e-14", "5e-13", "1e-10", "1e-4"])
+    def test_library_accepted_tolerance_passes(self, value, capsys):
+        assert Tolerance(eq_tol=float(value)).eq_tol == float(value)
+        assert main(["bell", "--dim", "3", "--j", "1", "--tol", value]) == 0
 
 
 def test_console_entry_point_runs():

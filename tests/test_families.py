@@ -95,6 +95,13 @@ class TestFamilyProjection:
         params = FamilyParams(tau=0.2, z1=0.4, z2=1.1, z4=2.2, k=1)
         assert params.z3 == pytest.approx(0.4 + 2.2 - 1.1 + 3 * math.pi)
 
+    # pi(2k + 1) in floating point lost idempotence as k grew (2.3e-11 at 10**6)
+    # and overflowed past 10**308
+    def test_winding_k_leaves_the_projection_bit_identical(self):
+        want = family_projection(FamilyParams(0.3, 0.7, 1.9, 2.6, k=0))
+        for k in (-10**400, -1, 1, 10**6, 10**15, 10**400):
+            assert np.array_equal(family_projection(FamilyParams(0.3, 0.7, 1.9, 2.6, k=k)), want)
+
 
 class TestFamilyDetection:
     def test_roundtrip(self):
@@ -362,3 +369,41 @@ class TestEntanglementReport:
         # z1 = z2 at balanced tau makes the prefactor denominator vanish
         singular = entanglement_report(FamilyParams(tau=TAU_MAX_ENTANGLED))
         assert math.isinf(singular.printed_prefactor_norm_deviation)
+
+
+def _corner_scaled(factor):
+    m = family_projection(FamilyParams(tau=0.25))
+    m[:2, 2:] *= factor
+    m[2:, :2] *= factor
+    return m
+
+
+def _with_hermitian_entry(i, j, value):
+    m = family_projection(FamilyParams(tau=0.25))
+    m[i, j], m[j, i] = value, np.conj(value)
+    return m
+
+
+UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
+
+
+# each row reaches its own rejection: a non-Hermitian edit fails the first check
+@pytest.mark.parametrize("call,message", [
+    (lambda: family_params_from_matrix(np.eye(3)), None),
+    (lambda: family_params_from_matrix(_with_hermitian_entry(0, 1, 0.2)), None),
+    (lambda: family_params_from_matrix(_with_hermitian_entry(0, 2, 0.3)), None),
+    (lambda: family_params_from_matrix(_corner_scaled(0.9)), None),
+    (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.ones(3)}),
+     "each target must be a vector of length 4"),
+    (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.zeros(4)}),
+     "target xx is the zero vector"),
+    (lambda: FamilyParams(0.3, k=0.5), "k must be an integer, got 0.5"),
+], ids=["3x3", "within-block-entry", "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter",
+        "target-length-3", "zero-target", "non-integer-k"])
+def test_input_rejections(call, message):
+    if message is None:
+        assert call() is None
+        return
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message

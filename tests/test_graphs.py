@@ -491,3 +491,13 @@ class TestMaximalGraph:
             graph = orbit_graph(block_rep, two_block_seed(rng))
             for b in graph.basis:
                 assert max_abs(b - maximal.project(b)) <= 1e-10
+
+
+@pytest.mark.parametrize("seed,message", [
+    (np.triu(np.ones((4, 4))), "seed is not positive semidefinite (not Hermitian); "
+                               "pass allow_nonpositive=True to explore anyway"),
+], ids=["non-hermitian-seed"])
+def test_input_rejections(block_rep, seed, message):
+    with pytest.raises(ValueError) as raised:
+        orbit_graph(block_rep, seed)
+    assert str(raised.value) == message

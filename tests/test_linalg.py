@@ -247,6 +247,16 @@ class TestSpectralProjections:
         assert all(0.0 <= p < 2.0 * math.pi for p in phases)
 
 
+@pytest.mark.parametrize("call,arg,message", [
+    (eig_hermitian, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+    (spectral_projections_unitary, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
+], ids=["eig_hermitian-non-square", "spectral_projections_unitary-non-square"])
+def test_input_rejections(call, arg, message):
+    with pytest.raises(ValueError) as raised:
+        call(arg)
+    assert str(raised.value) == message
+
+
 class TestFingerprint:
     def test_tells_scales_apart_without_overflow(self):
         a = np.random.default_rng(3).normal(size=(3, 3))
@@ -255,6 +265,14 @@ class TestFingerprint:
             assert fingerprint(1e300 * np.eye(3)) != fingerprint(2e300 * np.eye(3))
             assert fingerprint(1e-14 * a) != fingerprint(0.0 * a)
             assert fingerprint(1e-14 * a) != fingerprint(1e-13 * a)
+
+    def test_digests_are_stable(self):
+        a = np.random.default_rng(3).normal(size=(3, 3))
+        b = np.random.default_rng(4).normal(size=(3, 3))
+        assert fingerprint(1e300 * np.eye(3)) == "d58f2482eba91343"
+        assert fingerprint(1e-14 * a) == "01f792c6d6381954"
+        assert fingerprint(b) == "29567af10664374a"
+        assert fingerprint(np.zeros((2, 2))) == "8b286664ab86c019"
 
     def test_ignores_rounding_and_negative_zero(self):
         a = np.random.default_rng(4).normal(size=(3, 3))
@@ -334,19 +352,42 @@ class TestProjectionPredicate:
 class TestTolerance:
     def test_defaults(self):
         assert DEFAULT_TOL.eq_tol == 1e-10
-        assert DEFAULT_TOL.eig_tol == 1e-12
         assert DEFAULT_TOL.degeneracy_tol == 1e-8
+
+    # 5e-13 used to raise "eq_tol must be >= eig_tol" against a field no solver read
+    @pytest.mark.parametrize("value", [1e-14, 5e-13, 1e-10, 1e-4])
+    def test_accepts_the_cli_range(self, value):
+        assert Tolerance(eq_tol=value).eq_tol == value
+
+    # the library applies the CLI's rule and messages; 1e-300 used to be accepted
+    @pytest.mark.parametrize("value,message", [
+        (0.0, "tolerance must be positive and finite, got 0.0"),
+        (-1.0, "tolerance must be positive and finite, got -1.0"),
+        (math.nan, "tolerance must be positive and finite, got nan"),
+        (math.inf, "tolerance must be positive and finite, got inf"),
+        (1e-15, "tolerance must be at least 1e-14, got 1e-15: "
+                "below it, rounding error alone fails exact inputs"),
+        (1e-300, "tolerance must be at least 1e-14, got 1e-300: "
+                 "below it, rounding error alone fails exact inputs"),
+    ], ids=["0", "-1", "nan", "inf", "1e-15", "1e-300"])
+    def test_rejects_eq_tol(self, value, message):
+        with pytest.raises(ValueError) as raised:
+            Tolerance(eq_tol=value)
+        assert str(raised.value) == message
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            Tolerance(eq_tol=-1.0)
+            Tolerance(degeneracy_tol=-1.0)
 
-    @pytest.mark.parametrize("field", ["eq_tol", "eig_tol", "degeneracy_tol"])
+    @pytest.mark.parametrize("field", ["eq_tol", "degeneracy_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             Tolerance(**{field: value})
 
-    def test_rejects_eq_below_eig(self):
-        with pytest.raises(ValueError):
-            Tolerance(eq_tol=1e-14, eig_tol=1e-12)
+    # a positional Tolerance(1e-10, 1e-12) would otherwise set degeneracy_tol to 1e-12
+    @pytest.mark.parametrize("args,kwargs", [((), {"eig_tol": 1e-12}), ((1e-10, 1e-8), {})],
+                             ids=["eig_tol", "positional"])
+    def test_takes_only_its_two_keywords(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Tolerance(*args, **kwargs)
