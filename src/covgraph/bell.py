@@ -19,8 +19,8 @@ import numpy as np
 
 from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import CircleRep
-from .graphs import OperatorGraph, _from_frame, is_operator_system, orbit_graph
-from .linalg import DEFAULT_TOL, Tolerance, adjoint, max_abs
+from .graphs import OperatorGraph, is_operator_system, orbit_graph
+from .linalg import DEFAULT_TOL, Tolerance, max_abs
 
 __all__ = [
     "bell_state",
@@ -100,9 +100,7 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
     rep = bell_rep(d)
     seed = first_factor_projection(d, j)
     graph = orbit_graph(rep, seed, tol)
-    labels, w = rep._block_basis  # the pinching is the blocks of W^dagger seed W
-    pinched = _from_frame(w, adjoint(w) @ seed @ w * (labels[:, None] == labels))
-    pinch_residual = max_abs(pinched - np.eye(d * d) / d)
+    pinch_residual = max_abs(rep.pinch(seed) - np.eye(d * d) / d)
     system = is_operator_system(graph, tol)
     verdicts = tuple(_knill_laflamme(rep._isometry(s, graph._w), graph, tol) for s in range(d))
     passed = (

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _as_integer, is_projection, max_abs
+from .linalg import DEFAULT_TOL, Tolerance, _as_integer, adjoint, is_projection, max_abs
 
 __all__ = ["CircleRep", "RepViolation", "two_block_rep"]
 
@@ -149,9 +149,12 @@ class CircleRep:
         return a
 
     def pinch(self, a: np.ndarray) -> np.ndarray:
-        """Conditional expectation sum_j P_j A P_j onto the fixed-point algebra."""
+        """Conditional expectation sum_j P_j A P_j onto the fixed-point algebra,
+        formed as the diagonal blocks of W^dagger A W in the block frame.  The
+        representation must be valid; that is not checked."""
         a = self._operator(a)
-        return (self.projections @ a @ self.projections).sum(axis=0)
+        labels, w = self._block_basis
+        return _from_frame(w, adjoint(w) @ a @ w * (labels[:, None] == labels))
 
     def _conjugates(self, a: np.ndarray, n_samples: int) -> np.ndarray:
         """U A U^dagger at the N angles 2pi k/N, as one (N, n, n) array."""
@@ -168,6 +171,12 @@ class CircleRep:
         difference |s_j - s_k| (in particular whenever N > 2*max|s_j|).
         """
         return self._conjugates(a, n_samples).sum(axis=0) / n_samples
+
+
+def _from_frame(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """W A W^dagger for a frame matrix or stack, the right product as one GEMM."""
+    right = (a.reshape(-1, len(w)) @ adjoint(w)).reshape(a.shape)
+    return np.matmul(w, right, out=out)
 
 
 def two_block_rep(p_plus: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CircleRep:

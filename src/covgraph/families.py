@@ -1,8 +1,9 @@
 """The parametrized family of rank-2 projections in C^4 that seed two-block
 covariant graphs, and the tensor-product structure of their ranges.
 
-In the ordered basis (e+, h+, e-, h-) every member has diagonal 1/2, zero
-within-block off-diagonal entries, and an off-block corner whose entry
+In the ordered basis (e+, h+, e-, h-) a member is Q = [[I/2, C], [C^dagger,
+I/2]]: a matrix of that block form is a projection exactly when 2C is a 2x2
+unitary, and every 2x2 unitary is 2C for some member.  The corner's entry
 magnitudes are (tau, sqrt(1/4 - tau^2)) with one phase fixed by the other
 three:  z3 = z1 + z4 - z2 + pi (mod 2pi).  Deriving z3 inside the parameter
 object makes idempotence exact by construction.
@@ -21,6 +22,7 @@ two-block certification of one member.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -30,7 +32,7 @@ from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import two_block_rep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, max_abs, num_close, schmidt
+    DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, is_projection, max_abs, schmidt
 )
 
 __all__ = [
@@ -100,56 +102,32 @@ def family_projection(params: FamilyParams) -> np.ndarray:
     return q
 
 
-def _wrap_angle(x: float) -> float:
-    return x % (2.0 * math.pi)
-
-
-def _circular_close(x: float, y: float, tol: Tolerance) -> bool:
-    d = _wrap_angle(x - y)
-    return min(d, 2.0 * math.pi - d) <= tol.eq_tol * 10.0
-
-
 def family_params_from_matrix(
     m: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> FamilyParams | None:
     """Recover parameters if the matrix belongs to the family, else None.
 
-    Membership: Hermitian, diagonal 1/2, zero within-block entries, off-block
-    magnitudes pairing as (t, sqrt(1/4 - t^2)), and the phase constraint
-    (vacuous when t is 0 or 1/2, where one magnitude pair vanishes).
+    Membership is one rule: a 4x4 projection whose diagonal 2x2 blocks are I/2
+    within eq_tol.  Idempotence then gives C C^dagger = I/4 for the corner
+    C = [[a, d], [q, b]], i.e. 2C is unitary, so |a| = |b|, |d| = |q| and
+    |det C| = 1/4.  The parameters are read from C: z2 = arg d, z4 = arg b and
+    z1 = arg(det C) - z4, which is defined at tau = 0 too; k is 0, since every
+    k gives the same projection.
     """
     m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape != (4, 4) or not is_projection(m, tol):
         return None
-    if max_abs(m - adjoint(m)) > tol.eq_tol:
+    half = np.eye(2) / 2.0
+    if max(max_abs(m[:2, :2] - half), max_abs(m[2:, 2:] - half)) > tol.eq_tol:
         return None
-    if max_abs(np.diag(m) - 0.5) > tol.eq_tol:
-        return None
-    if max(abs(m[0, 1]), abs(m[2, 3])) > tol.eq_tol:
-        return None
-    a, d = m[0, 2], m[0, 3]
-    q, b = m[1, 2], m[1, 3]
+    (a, d), (q, b) = m[:2, 2:].tolist()
     tau = (abs(a) + abs(b)) / 2.0
     rho = (abs(d) + abs(q)) / 2.0
-    if abs(abs(a) - abs(b)) > tol.eq_tol or abs(abs(d) - abs(q)) > tol.eq_tol:
-        return None
-    if not num_close(tau * tau + rho * rho, 0.25, tol):
-        return None
-    tau = min(max(tau, 0.0), 0.5)
-    if tau <= tol.eq_tol:  # corner reduces to d, q; this z1 makes z3 = arg q
-        z2 = float(np.angle(d))
-        return FamilyParams(tau=0.0, z1=_wrap_angle(np.angle(q) + z2 - math.pi), z2=_wrap_angle(z2))
-    if rho <= tol.eq_tol:
-        return FamilyParams(
-            tau=0.5, z1=_wrap_angle(np.angle(a)), z2=0.0, z4=_wrap_angle(np.angle(b)), k=0
-        )
-    z1, z2 = float(np.angle(a)), float(np.angle(d))
-    z3, z4 = float(np.angle(q)), float(np.angle(b))
-    if not _circular_close(z3 - z1, z4 - z2 + math.pi, tol):
-        return None
-    base = FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=0)
-    k = round((z3 - base.z3) / (2.0 * math.pi))
-    return FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=int(k))
+    if rho < tau:  # family_projection derives rho from tau; the inverse is well conditioned here
+        tau = math.sqrt(max(0.25 - rho * rho, 0.0))
+    z4 = cmath.phase(b)
+    z1 = cmath.phase(a * b - d * q) - z4  # det C = e^{i (z1 + z4)} / 4
+    return FamilyParams(tau=tau, z1=z1, z2=cmath.phase(d), z4=z4)
 
 
 def spanning_vectors(
@@ -328,8 +306,8 @@ class FamilyReport:
     params: FamilyParams
     idempotence_residual: float  # max_abs(Q^2 - Q)
     trace_residual: float  # |tr Q - 2|
-    complement_in_family: bool  # parameters recovered from I - Q
-    complement_residual: float  # max_abs(projection of the recovered parameters - (I - Q))
+    complement_in_family: bool  # complement_residual <= eq_tol
+    complement_residual: float  # max_abs(family_projection(recovered) - (I - Q)), inf if none
     graph: OperatorGraph  # orbit span of Q under the representation on P_PLUS
     system: OperatorSystemCheck
     verdict_plus: AnticliqueVerdict  # P_PLUS
@@ -339,22 +317,23 @@ class FamilyReport:
 
 def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyReport:
     """Certify one member Q: a rank-2 projection whose complement round-trips
-    through ``family_params_from_matrix`` (residual inf if it does not), whose
-    orbit span is an operator system with anticliques P+ and P-, and the
-    Schmidt analysis of the basis vectors."""
+    through ``family_params_from_matrix`` within eq_tol (residual inf if no
+    parameters are recovered), whose orbit span is an operator system with
+    anticliques P+ and P-, and the Schmidt analysis of the basis vectors."""
     q = family_projection(params)
     complement = np.eye(4) - q
     recovered = family_params_from_matrix(complement, tol)
+    complement_residual = (
+        math.inf if recovered is None else max_abs(family_projection(recovered) - complement)
+    )
     rep = two_block_rep(P_PLUS, tol)
     graph = orbit_graph(rep, q, tol)
     return FamilyReport(
         params=params,
         idempotence_residual=max_abs(q @ q - q),
         trace_residual=abs(np.trace(q).real - 2.0),
-        complement_in_family=recovered is not None,
-        complement_residual=(
-            math.inf if recovered is None else max_abs(family_projection(recovered) - complement)
-        ),
+        complement_in_family=complement_residual <= tol.eq_tol,
+        complement_residual=complement_residual,
         graph=graph,
         system=is_operator_system(graph, tol),
         verdict_plus=_knill_laflamme(rep._isometry(0, graph._w), graph, tol),

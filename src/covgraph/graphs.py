@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circle import CircleRep, two_block_rep
+from .circle import CircleRep, _from_frame, two_block_rep
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -97,12 +97,6 @@ class OperatorGraph:
         return _from_frame(self._w, self._project_frame(adjoint(self._w) @ a @ self._w))
 
 
-def _from_frame(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W A W^dagger for a frame matrix or stack, the right product as one GEMM."""
-    right = (a.reshape(-1, len(w)) @ adjoint(w)).reshape(a.shape)
-    return np.matmul(w, right, out=out)
-
-
 class OperatorSystemCheck(NamedTuple):
     contains_identity: bool
     adjoint_closed: bool
@@ -145,7 +139,7 @@ def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
             "seed is not positive semidefinite (not Hermitian); "
             "pass allow_nonpositive=True to explore anyway"
         )
-    eigvals, _ = eig_hermitian((seed + adjoint(seed)) / 2.0, tol)
+    eigvals, _ = eig_hermitian(seed, tol)  # diagonalizes the Hermitian part
     if eigvals[0] < -cut:
         raise ValueError(
             f"seed is not positive semidefinite (min eigenvalue {eigvals[0]:.3g}); "

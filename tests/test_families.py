@@ -8,11 +8,12 @@ column-based route."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import covgraph.families
@@ -130,19 +131,31 @@ class TestFamilyDetection:
             assert mags == pytest.approx(expected, abs=1e-12)
             assert max_abs(family_projection(recovered) - comp) <= 1e-10
 
-    # tau = 0 used to recover z1 = z4 = 0, which misses Q by 0.75 unless z1 + z4 = 0
+    # tau = 0 used to recover z1 = z4 = 0, which misses Q by 0.75 unless z1 + z4 = 0;
+    # there z1 comes from arg det C alone.  Near tau = 1/2 the round trip used to
+    # miss by 3.1e-9 (one ulp below) and 8.8e-13 (1e-9 below): rho = sqrt(1/4 -
+    # tau^2) amplifies an error in tau there.
     @settings(max_examples=200, deadline=None)
     @given(
         tau=st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.5),
         phases=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
         k=st.integers(-2, 2),
     )
+    @example(tau=0.49999999999999994, phases=(2.1, 4.6, 0.9), k=0)
+    @example(tau=0.5 - 1e-9, phases=(8.8, 1.0, 8.4), k=1)
+    @example(tau=0.0, phases=(1.0, 0.3, 0.7), k=-2)
+    @example(tau=1e-300, phases=(-2.2, 5.0, 1.3), k=0)
     def test_roundtrip_reproduces_member_and_complement(self, tau, phases, k):
         q = family_projection(FamilyParams(tau, *phases, k))
         for m in (q, np.eye(4) - q):
             recovered = family_params_from_matrix(m)
             assert recovered is not None
-            assert max_abs(family_projection(recovered) - m) <= 1e-8
+            assert max_abs(family_projection(recovered) - m) <= 1e-14
+
+    def test_corner_scale_is_decided_at_the_tolerance(self):
+        # 2C is unitary only at scale 1: Q^2 - Q = (s^2 - 1)/4 on the diagonal blocks
+        assert family_params_from_matrix(_corner_scaled(1.0 + 1e-6)) is None
+        assert family_params_from_matrix(_corner_scaled(1.0 + 1e-13)) is not None
 
     def test_rejects_outside_family(self):
         assert family_params_from_matrix(np.eye(4)) is None
@@ -208,6 +221,18 @@ class TestFamilyReport:
         report = family_report(FamilyParams(0.25))
         assert not report.complement_in_family
         assert report.complement_residual == math.inf
+
+    def test_complement_in_family_is_decided_by_its_residual(self, monkeypatch):
+        recover = covgraph.families.family_params_from_matrix
+
+        def shifted(m, tol):  # recovered, but off by 1e-6 rad in z2
+            params = recover(m, tol)
+            return dataclasses.replace(params, z2=params.z2 + 1e-6)
+
+        monkeypatch.setattr(covgraph.families, "family_params_from_matrix", shifted)
+        report = family_report(FamilyParams(0.25))
+        assert not report.complement_in_family
+        assert 1e-10 < report.complement_residual < 1e-5
 
 
 class TestSpanningVectors:
@@ -387,9 +412,11 @@ def _with_hermitian_entry(i, j, value):
 UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
 
 
-# each row reaches its own rejection: a non-Hermitian edit fails the first check
+# the family rows reach the shape check, the projection check (a Hermitian edit
+# of one entry breaks idempotence) or the I/2 block check
 @pytest.mark.parametrize("call,message", [
     (lambda: family_params_from_matrix(np.eye(3)), None),
+    (lambda: family_params_from_matrix(P_PLUS_4), None),
     (lambda: family_params_from_matrix(_with_hermitian_entry(0, 1, 0.2)), None),
     (lambda: family_params_from_matrix(_with_hermitian_entry(0, 2, 0.3)), None),
     (lambda: family_params_from_matrix(_corner_scaled(0.9)), None),
@@ -398,8 +425,8 @@ UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
     (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.zeros(4)}),
      "target xx is the zero vector"),
     (lambda: FamilyParams(0.3, k=0.5), "k must be an integer, got 0.5"),
-], ids=["3x3", "within-block-entry", "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter",
-        "target-length-3", "zero-target", "non-integer-k"])
+], ids=["3x3", "projection-without-half-blocks", "within-block-entry",
+        "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter", "target-length-3", "zero-target", "non-integer-k"])
 def test_input_rejections(call, message):
     if message is None:
         assert call() is None

@@ -181,9 +181,20 @@ class TestEigHermitian:
         assert max_abs(recon - a) <= 1e-9 * (1.0 + max_abs(a))
         assert max_abs(adjoint(v) @ v - np.eye(n)) <= 1e-10
 
+    # the Hermitian cut is relative to the largest entry: an absolute cut
+    # accepted this matrix at 1e-12
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        for scale in (1e-12, 1.0, 1e12):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                eig_hermitian(scale * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    # an absolute cut rejected Q D Q^dagger at 1e8, whose rounding is ~1e-8
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    def test_accepts_hermitian_at_any_scale(self, scale):
+        q = random_unitary_givens(np.random.default_rng(8), 6)
+        a = scale * (q @ np.diag(np.linspace(-1.0, 2.0, 6)) @ adjoint(q))
+        eigvals, _ = eig_hermitian(a)
+        assert np.allclose(eigvals, scale * np.linspace(-1.0, 2.0, 6), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
