@@ -101,7 +101,7 @@ def _knill_laflamme(v: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> Anti
     rows = np.flatnonzero(v.any(axis=1))
     v = v[rows]
     iso = graph._w[:, rows] @ v  # V
-    x = adjoint(v) @ graph._frame_basis[:, rows[:, None], rows] @ v
+    x = adjoint(v) @ graph._frame_block(rows) @ v
     diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view: x is a fresh product
     constants = diagonals.sum(axis=1) / rank
     diagonals -= constants[:, None]

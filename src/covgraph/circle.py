@@ -173,10 +173,9 @@ class CircleRep:
         return self._conjugates(a, n_samples).sum(axis=0) / n_samples
 
 
-def _from_frame(w: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _from_frame(w: np.ndarray, a: np.ndarray) -> np.ndarray:
     """W A W^dagger for a frame matrix or stack, the right product as one GEMM."""
-    right = (a.reshape(-1, len(w)) @ adjoint(w)).reshape(a.shape)
-    return np.matmul(w, right, out=out)
+    return w @ (a.reshape(-1, len(w)) @ adjoint(w)).reshape(a.shape)
 
 
 def two_block_rep(p_plus: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CircleRep:

@@ -23,13 +23,14 @@ two-block certification of one member.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .anticlique import AnticliqueVerdict, _knill_laflamme
-from .circle import two_block_rep
+from .circle import CircleRep, two_block_rep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import (
     DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, is_projection, max_abs, schmidt
@@ -77,7 +78,8 @@ class FamilyParams:
 
     @property
     def z3(self) -> float:
-        return self.z1 + self.z4 - self.z2 + math.pi * (2 * self.k + 1)
+        """z1 + z4 - z2 + pi (2k + 1) reduced to (-pi, pi], exact for every k."""
+        return cmath.phase(-cmath.exp(1j * (self.z1 + self.z4 - self.z2)))
 
 
 def _corner(params: FamilyParams) -> np.ndarray:
@@ -142,6 +144,10 @@ def spanning_vectors(
     q = np.asarray(q, dtype=complex)
     if family_params_from_matrix(q, tol) is None:
         raise ValueError("matrix is not a member of the projection family")
+    return _spanning_columns(q)
+
+
+def _spanning_columns(q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     comp = np.eye(4) - q
     return q[:, 0].copy(), q[:, 1].copy(), comp[:, 0].copy(), comp[:, 1].copy()
 
@@ -209,8 +215,7 @@ def corrected_identification(
     y (x) C^2:  xx -> col1(Q), xy -> col2(Q), yy -> col1(I-Q),
     yx -> col2(I-Q), all scaled to unit norm.
     """
-    q = family_projection(params)
-    xi_q, eta_q, xi_c, eta_c = spanning_vectors(q, tol)
+    xi_q, eta_q, xi_c, eta_c = _spanning_columns(family_projection(params))  # a member
     return tensor_identification({"xx": xi_q, "xy": eta_q, "yy": xi_c, "yx": eta_c}, tol=tol)
 
 
@@ -315,6 +320,15 @@ class FamilyReport:
     entanglement: EntanglementReport
 
 
+@functools.cache
+def _family_rep() -> CircleRep:
+    """The two-block representation on P_PLUS, built once and read-only; P_PLUS
+    is an exact projection, so no tolerance changes it."""
+    rep = two_block_rep(P_PLUS)
+    rep.projections.flags.writeable = False
+    return rep
+
+
 def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyReport:
     """Certify one member Q: a rank-2 projection whose complement round-trips
     through ``family_params_from_matrix`` within eq_tol (residual inf if no
@@ -326,7 +340,7 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
     complement_residual = (
         math.inf if recovered is None else max_abs(family_projection(recovered) - complement)
     )
-    rep = two_block_rep(P_PLUS, tol)
+    rep = _family_rep()
     graph = orbit_graph(rep, q, tol)
     return FamilyReport(
         params=params,

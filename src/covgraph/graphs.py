@@ -57,7 +57,10 @@ class FrequencyComponent:
 class OperatorGraph:
     """HS-orthonormal basis of an operator span as one (span_dim, dim, dim) array,
     held as a unitary frame W and the basis B' = W^dagger B W in it; ``basis``
-    is formed on first use.  A graph built from a basis has W = I."""
+    is formed on first use.  A graph built from a basis has W = I.  An orbit
+    graph holds B' compactly: its elements have disjoint supports in the
+    frame, so one matrix F carries them all and ``slot`` labels each entry
+    with the index of its element (-1 on no element)."""
 
     def __init__(self, dim: int, basis, source: dict | None = None):
         basis = np.asarray(basis, dtype=complex)
@@ -65,23 +68,33 @@ class OperatorGraph:
             basis = basis.reshape(0, dim, dim)
         if basis.shape[1:] != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} basis matrices, got {basis.shape}")
-        self.dim, self.source = dim, {} if source is None else source
+        self.dim, self.span_dim, self.source = dim, len(basis), {} if source is None else source
         self.basis = self._frame_basis = basis  # W = I: the frame basis is the basis
-        self._w = np.eye(dim, dtype=complex)
+        self._w, self._f, self._slot = np.eye(dim, dtype=complex), None, None
 
     @classmethod
-    def _in_frame(cls, w: np.ndarray, frame_basis: np.ndarray, source: dict) -> OperatorGraph:
+    def _compact(cls, w: np.ndarray, f: np.ndarray, slot: np.ndarray, span_dim: int,
+                 source: dict) -> OperatorGraph:
         graph = cls.__new__(cls)
-        graph.dim, graph.source, graph._w, graph._frame_basis = len(w), source, w, frame_basis
+        graph.dim, graph.span_dim, graph.source = len(w), span_dim, source
+        graph._w, graph._f, graph._slot = w, f, slot
         return graph
+
+    @functools.cached_property
+    def _frame_basis(self) -> np.ndarray:
+        return _unpack(self._f, self._slot, self.span_dim)
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
         return _from_frame(self._w, self._frame_basis)
 
-    @property
-    def span_dim(self) -> int:
-        return len(self._frame_basis)
+    def _frame_block(self, rows: np.ndarray) -> np.ndarray:
+        """B'[:, rows, rows]; a proper subset of the rows of a compact graph is
+        scattered from F, without the (span_dim, dim, dim) stack."""
+        if self._f is None or len(rows) == self.dim:
+            return self._frame_basis[:, rows[:, None], rows]
+        block = rows[:, None], rows
+        return _unpack(self._f[block], self._slot[block], self.span_dim)
 
     def _project_frame(self, a: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection onto the span, of matrices given in the frame."""
@@ -97,6 +110,14 @@ class OperatorGraph:
         return _from_frame(self._w, self._project_frame(adjoint(self._w) @ a @ self._w))
 
 
+def _unpack(f: np.ndarray, slot: np.ndarray, k: int) -> np.ndarray:
+    """The (k, r, r) stack whose element j is f on the entries labelled j, else 0."""
+    out = np.zeros((k, f.size), dtype=complex)
+    on = np.flatnonzero(slot >= 0)
+    out[slot.ravel()[on], on] = f.ravel()[on]
+    return out.reshape(k, *f.shape)
+
+
 class OperatorSystemCheck(NamedTuple):
     contains_identity: bool
     adjoint_closed: bool
@@ -104,22 +125,27 @@ class OperatorSystemCheck(NamedTuple):
     adjoint_residual: float
 
 
-def _frame_components(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
-    """(m, A'_m, ||A_m||_HS), sorted by m, for each m with ||A_m||_HS >
-    eq_tol * ||seed||_HS: A'_m is M' = W^dagger M W on the entries with
-    s_a - s_b = m, so A_m = W A'_m W^dagger.  Needs a valid representation."""
+def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
+    """(ms, F, slot, norms) for the components A_m with ||A_m||_HS >
+    eq_tol * ||seed||_HS, sorted by m: slot[a, b] is the index in ms of
+    s_a - s_b (-1 if dropped), F is M' = W^dagger M W divided on each entry by
+    the HS norm of its component (0 if dropped), and A_m is W A'_m W^dagger
+    with A'_m = norms[j] F on the entries of slot j.  Needs a valid
+    representation."""
     seed = rep._operator(seed)
     _require_finite(seed)  # a NaN cut would drop every component
     labels, w = rep._block_basis
     freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
     ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
-    slot = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
+    pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
     frame = adjoint(w) @ seed @ w
     scale = max_abs(frame) or 1.0  # so that no square overflows or underflows
-    squares = np.bincount(slot.ravel(), np.abs(frame.ravel() / scale) ** 2, len(ms))
-    kept = np.flatnonzero(squares > tol.eq_tol**2 * squares.sum())
-    comps = np.where(slot == kept[:, None, None], frame, 0.0)
-    return ms[kept], comps, scale * np.sqrt(squares[kept])
+    squares = np.bincount(pair.ravel(), np.abs(frame.ravel() / scale) ** 2, len(ms))
+    kept = squares > tol.eq_tol**2 * squares.sum()
+    norms = scale * np.sqrt(squares)
+    f = np.divide(frame, norms[pair], out=np.zeros_like(frame), where=kept[pair])
+    slot = np.where(kept, np.cumsum(kept) - 1, -1)[pair]
+    return ms[kept], f, slot, norms[kept]
 
 
 def frequency_components(
@@ -127,8 +153,8 @@ def frequency_components(
 ) -> list[FrequencyComponent]:
     """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, with
     ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid."""
-    ms, comps, _ = _frame_components(rep, seed, tol)
-    comps = _from_frame(rep._block_basis[1], comps)
+    ms, f, slot, norms = _frame_span(rep, seed, tol)
+    comps = _from_frame(rep._block_basis[1], _unpack(f, slot, len(ms)) * norms[:, None, None])
     return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps)]
 
 
@@ -154,14 +180,14 @@ def orbit_graph(
     allow_nonpositive: bool = False,
 ) -> OperatorGraph:
     """Span of the conjugation orbit of the seed: the components A_m / ||A_m||_HS,
-    held in the rep's block frame.  The rep must be valid; that is not checked."""
+    held in the rep's block frame as one matrix F and its slots.  The rep must
+    be valid; that is not checked."""
     seed = np.asarray(seed, dtype=complex)
     if not allow_nonpositive:
         _positivity_check(seed, tol)
-    _, comps, norms = _frame_components(rep, seed, tol)
-    comps /= norms[:, None, None]
+    ms, f, slot, _ = _frame_span(rep, seed, tol)
     source = {"method": "frequency-components", "freqs": rep.freqs, "seed": fingerprint(seed)}
-    return OperatorGraph._in_frame(rep._block_basis[1], comps, source)
+    return OperatorGraph._compact(rep._block_basis[1], f, slot, len(ms), source)
 
 
 def sampled_orbit_graph(
@@ -214,17 +240,46 @@ def _span_gap(a: OperatorGraph, b: OperatorGraph) -> float:
     )
 
 
+def _compact_residuals(graph: OperatorGraph) -> tuple[np.ndarray, float]:
+    """is_operator_system's frame identity residual and adjoint residual for a
+    compact graph, in O(n^2).  The adjoint of the element at m lies on the
+    entries of the one at -m, so its projection has the one coefficient
+    <B'_{-m}, B'_m^dagger> = sum conj(F) conj(F^T) over those entries.  The
+    identity lies on the diagonal, all at m = 0."""
+    f, slot, k = graph._f, graph._slot, graph.span_dim
+    adj = f.T.conj()  # B'_j^dagger on the entries where slot.T == j
+    on = slot >= 0
+    terms = f[on].conj() * adj[on]
+    coeffs = np.bincount(slot[on], terms.real, k) + 1j * np.bincount(slot[on], terms.imag, k)
+    adj[on] -= coeffs[slot[on]] * f[on]
+    owner = slot.T >= 0
+    squares = np.bincount(slot.T[owner], np.abs(adj[owner]) ** 2, k)
+    at_zero = slot == slot[0, 0]  # the entries at m = 0, or the dropped ones (F = 0)
+    id_res = np.eye(graph.dim) - np.trace(f).conj() * np.where(at_zero, f, 0.0)
+    return id_res, float(np.sqrt(squares.max(initial=0.0)))
+
+
 def is_operator_system(
     graph: OperatorGraph, tol: Tolerance = DEFAULT_TOL
 ) -> OperatorSystemCheck:
     """Check the two operator-system axioms: identity membership, adjoint closure.
-    Both run in the graph's frame (I and B'^dagger there) with max-entry
-    residuals in the original frame."""
-    eye = np.eye(graph.dim, dtype=complex)
-    id_res = max_abs(_from_frame(graph._w, eye - graph._project_frame(eye)))
-    residuals = np.conj(graph._frame_basis.transpose(0, 2, 1), order="C")
-    residuals -= graph._project_frame(residuals)
-    adj_res = max_abs(_from_frame(graph._w, residuals, out=residuals))
+
+    The identity residual is max_abs(I - Pi(I)) in the original frame and the
+    adjoint residual is max_j ||B_j^dagger - Pi(B_j^dagger)||_HS over the unit
+    basis elements, Pi the HS projection onto the span.  Both are computed in
+    the graph's frame, where I stays I and the HS distance is unchanged; only
+    the identity residual is transformed back.  A compact (orbit) graph gets
+    both from F and its slots in O(n^2), a graph built from a basis from the
+    Gram products of its stack."""
+    if graph._f is None:
+        eye = np.eye(graph.dim, dtype=complex)
+        id_res = eye - graph._project_frame(eye)
+        adj = np.conj(graph._frame_basis.transpose(0, 2, 1))
+        adj -= graph._project_frame(adj)
+        adj_res = float(np.linalg.norm(adj, axis=(1, 2)).max(initial=0.0))
+    else:
+        id_res, adj_res = _compact_residuals(graph)
+    id_res = max_abs(_from_frame(graph._w, id_res))
     return OperatorSystemCheck(
         contains_identity=id_res <= tol.eq_tol,
         adjoint_closed=adj_res <= tol.eq_tol,

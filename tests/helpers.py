@@ -81,6 +81,22 @@ def pair_loop_graph(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL) -> Operat
     return OperatorGraph(rep.dim, basis)
 
 
+def operator_system_reference(graph: OperatorGraph) -> tuple[float, float]:
+    """(identity residual, adjoint residual) of is_operator_system by brute
+    force on the dense basis: Q is an orthonormal basis (QR) of the flattened
+    ``graph.basis``; the adjoint residual is max_j ||b_j^dagger - Q Q^dagger
+    vec b_j^dagger||_2 and the identity residual max_abs(I - Q Q^dagger vec I)."""
+    n, k = graph.dim, graph.span_dim
+    q, _ = np.linalg.qr(graph.basis.reshape(k, n * n).T)
+
+    def residual(a):
+        return a - q @ (q.conj().T @ a)
+
+    identity = max_abs(residual(np.eye(n).reshape(n * n)))
+    adjoints = graph.basis.conj().transpose(0, 2, 1).reshape(k, n * n).T
+    return identity, max((float(np.linalg.norm(r)) for r in residual(adjoints).T), default=0.0)
+
+
 def random_offblock(rng: np.random.Generator) -> np.ndarray:
     """4x4 matrix supported on the two off-diagonal 2x2 corners of the
     standard two-block split, Hermitian by construction."""

@@ -94,7 +94,13 @@ class TestFamilyProjection:
 
     def test_phase_constraint_is_exact(self):
         params = FamilyParams(tau=0.2, z1=0.4, z2=1.1, z4=2.2, k=1)
-        assert params.z3 == pytest.approx(0.4 + 2.2 - 1.1 + 3 * math.pi)
+        assert params.z3 == pytest.approx(0.4 + 2.2 - 1.1 - math.pi)
+
+    # z1 + z4 - z2 + pi(2k + 1) in floating point had a 1 rad ulp at k = 10**15
+    # and overflowed past 10**308
+    @pytest.mark.parametrize("k", [-10**400, -1, 0, 1, 10**15, 10**400])
+    def test_z3_is_reduced_for_every_k(self, k):
+        assert FamilyParams(0.3, 0.7, 1.9, 2.6, k=k).z3 == pytest.approx(0.7 + 2.6 - 1.9 - math.pi)
 
     # pi(2k + 1) in floating point lost idempotence as k grew (2.3e-11 at 10**6)
     # and overflowed past 10**308
@@ -212,6 +218,16 @@ class TestFamilyReport:
             assert verdict == verify_anticlique(p, graph)
             assert verdict.passed and verdict.code_dimension == 2
         assert report.entanglement.rows == entanglement_report(params).rows
+
+    def test_recovers_parameters_once_on_one_rep(self, monkeypatch):
+        # only I - Q is recovered; Q is a member by construction
+        calls = []
+        recover = covgraph.families.family_params_from_matrix
+        monkeypatch.setattr(covgraph.families, "family_params_from_matrix",
+                            lambda m, tol: calls.append(m) or recover(m, tol))
+        first, second = family_report(FamilyParams(0.25)), family_report(FamilyParams(0.1))
+        assert len(calls) == 2
+        assert first.graph._w is second.graph._w  # one rep, one block basis
 
     def test_unrecovered_complement_reads_inf(self, monkeypatch):
         # reject only I - Q, whose corner entry (0, 2) is -tau

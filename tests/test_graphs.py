@@ -33,6 +33,7 @@ from helpers import (
     FREQS,
     P_PLUS_4,
     SIGMA_X,
+    operator_system_reference,
     pair_loop_graph,
     random_hermitian,
     random_offblock,
@@ -400,6 +401,38 @@ class TestOperatorSystem:
             for b in graph.basis:
                 conj = u @ b @ adjoint(u)
                 assert max_abs(conj - graph.project(conj)) <= 1e-9
+
+
+class TestOperatorSystemReference:
+    """is_operator_system on orbit graphs (read from F and its slots) and on
+    the same bases as plain graphs (Gram products) against a brute-force QR
+    reference.  A complex seed's components at m and -m are not adjoints of
+    each other, and a phased Hermitian seed e^{i theta} H has the projection
+    coefficient e^{-2 i theta}, so using tr(B_{-m} B_m) for
+    <B_{-m}, B_m^dagger> shows on both."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        freqs=FREQS,
+        kind=st.sampled_from(["complex", "phased", "hermitian"]),
+        theta=st.floats(0.1, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_reference(self, n, freqs, kind, theta, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        h = random_hermitian(rng, n)
+        m0 = {"complex": h + 1j * random_hermitian(rng, n),
+              "phased": np.exp(1j * theta) * h, "hermitian": h}[kind]
+        graph = orbit_graph(rep, m0, allow_nonpositive=True)
+        reference = operator_system_reference(graph)
+        for g in (graph, OperatorGraph(dim=n, basis=graph.basis)):
+            check = is_operator_system(g)
+            assert abs(check.identity_residual - reference[0]) <= 1e-12
+            assert abs(check.adjoint_residual - reference[1]) <= 1e-12
+            assert check.contains_identity == (reference[0] <= 1e-10)
+            assert check.adjoint_closed == (reference[1] <= 1e-10)
 
 
 class TestAdjointClosureScalar:
