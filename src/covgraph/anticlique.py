@@ -11,8 +11,8 @@ The check runs in Knill-Laflamme form (Knill & Laflamme, PRA 55, 900,
 exactly when V^dagger A V = c_A I_r.  That costs 2 n^2 r operations per
 basis element instead of the 2 n^3 of forming P A P, and the residual
 V (V^dagger A V - c_A I) V^dagger is the same matrix P A P - c_A P.
-``verify_anticlique`` gets V from one eigh of P; a representation's own
-blocks come with their isometries (``CircleRep._block_basis``).
+``verify_anticlique`` gets V from one eigh of P; a sum of a representation's
+blocks is a set of rows of its block frame W, and V = W[:, rows].
 
 Spectral candidates come from the frequency partition: each spectral
 projection of U_phi is a sum of rep projections, so no eigensolver runs.
@@ -88,21 +88,22 @@ def verify_anticlique(
     return _knill_laflamme(adjoint(graph._w) @ vecs[:, -rank:], graph, tol)
 
 
-def _knill_laflamme(v: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> AnticliqueVerdict:
-    """The compression check on an isometry V' (n x r) onto the range of P, in
-    the graph's frame W (V = W V').
+def _knill_laflamme(code: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> AnticliqueVerdict:
+    """The compression check on a code in the graph's frame W, given as the
+    frame rows it occupies (V = W[:, rows], for an orbit graph of the rep whose
+    blocks they are) or as an isometry V' (n x r) onto the range of P (V = W V').
 
-    X_A = V'^dagger B' V' over the rows where V' is nonzero, for the whole frame
-    basis in one product, c_A = tr X_A / r, and the residual of A is
-    max_abs(V (X_A - c_A I) V^dagger) = max_abs(P A P - c_A P), 0 where
-    X_A - c_A I is.  The witness is the last basis index attaining the maximum.
+    X_A = V^dagger A V for the whole frame basis in one product, c_A = tr X_A / r,
+    and the residual of A is max_abs(V (X_A - c_A I) V^dagger) = max_abs(P A P -
+    c_A P), 0 where X_A - c_A I is.  The witness is the last basis index
+    attaining the maximum.
     """
-    rank = v.shape[1]
-    rows = np.flatnonzero(v.any(axis=1))
-    v = v[rows]
-    iso = graph._w[:, rows] @ v  # V
-    x = adjoint(v) @ graph._frame_block(rows) @ v
-    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view: x is a fresh product
+    if code.ndim == 1:
+        rank, iso, x = len(code), graph._w[:, code], graph._frame_block(code)
+    else:
+        rank, iso = code.shape[1], graph._w @ code
+        x = adjoint(code) @ graph._frame_basis @ code
+    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view: x is a fresh array
     constants = diagonals.sum(axis=1) / rank
     diagonals -= constants[:, None]
     live = x.reshape(len(x), rank * rank).any(axis=1)
@@ -130,21 +131,24 @@ def anticliques_from_spectrum(
     """Certify every rank >= 2 spectral projection of U_phi, for each phi.
 
     Each is the sum of the P_j whose phases s_j*phi agree within
-    degeneracy_tol (chained), at their rank-weighted circular mean phase.
+    1e-8 (chained), at their rank-weighted circular mean phase.
     Returns all verdicts, passing and failing, tagged by the angle and the
     eigenphase, in ascending eigenphase per angle.
     """
     if graph.dim != rep.dim:
         raise ValueError("graph and representation dimensions differ")
     rep._require_valid(tol)
-    ranks = np.bincount(rep._block_basis[0], minlength=len(rep.freqs))
+    labels, w = rep._block_basis
+    ranks = np.bincount(labels, minlength=len(rep.freqs))
     blocks = np.flatnonzero(ranks)  # a zero projection adds no eigenvalue
     results = []
     for phi in phis:
         phases = np.multiply(rep.freqs, phi)[blocks] % (2.0 * math.pi)
-        for eigenphase, group in _phase_clusters(phases, ranks[blocks], tol.degeneracy_tol):
+        for eigenphase, group in _phase_clusters(phases, ranks[blocks]):
             if ranks[blocks[group]].sum() >= 2:
-                verdict = _knill_laflamme(rep._isometry(blocks[group], graph._w), graph, tol)
+                rows = rep._frame_rows(blocks[group])  # rows of this rep's frame W
+                code = rows if graph._w is w else adjoint(graph._w) @ w[:, rows]
+                verdict = _knill_laflamme(code, graph, tol)
                 results.append(SpectralVerdict(phi=phi, eigenphase=eigenphase, verdict=verdict))
     return results
 
@@ -156,14 +160,16 @@ def merged_spectrum_angles(rep: CircleRep) -> list[MergedSpectrum]:
     exp(i*s_j*phi) = exp(i*s_k*phi) at phi = 2*pi*p/q (p, q coprime) exactly
     when q divides s_j - s_k, so the induced grouping is s mod q, computed
     in integer arithmetic.  phi = 0 merges everything trivially and is not
-    reported.
+    reported.  Each q dividing the span D = max s - min s adds angles, at
+    least D - 1 in all, so a span above 10**5 raises ValueError.
     """
     freqs = rep.freqs
-    diffs = {abs(a - b) for a in freqs for b in freqs if a != b}
-    if not diffs:
-        return []
+    span = max(freqs) - min(freqs)
+    if span > 10**5:
+        raise ValueError(f"frequencies span {span}, above 10**5: "
+                         f"the merged angles would number at least {span - 1}")
     out = []
-    for q in range(2, max(diffs) + 1):
+    for q in range(2, span + 1):
         classes: dict[int, list[int]] = {}
         for idx, s in enumerate(freqs):
             classes.setdefault(s % q, []).append(idx)

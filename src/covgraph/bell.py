@@ -102,7 +102,7 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
     graph = orbit_graph(rep, seed, tol)
     pinch_residual = max_abs(rep.pinch(seed) - np.eye(d * d) / d)
     system = is_operator_system(graph, tol)
-    verdicts = tuple(_knill_laflamme(rep._isometry(s, graph._w), graph, tol) for s in range(d))
+    verdicts = tuple(_knill_laflamme(rep._frame_rows(s), graph, tol) for s in range(d))
     passed = (
         pinch_residual <= tol.eq_tol
         and system.contains_identity

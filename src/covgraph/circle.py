@@ -56,6 +56,8 @@ class CircleRep:
             projs = None
         if projs is None or projs.ndim != 3 or projs.shape[1] != projs.shape[2]:
             raise ValueError("projections must be square matrices of equal size")
+        if projs.shape[1] == 0:
+            raise ValueError("projections must be at least 1x1, got 0x0")
         # NaN compares false, so it would pass every invariant check
         if not np.isfinite(projs).all():
             raise ValueError("projections have non-finite entries")
@@ -86,16 +88,9 @@ class CircleRep:
         labels.flags.writeable = w.flags.writeable = False
         return labels, w
 
-    def _isometry(self, blocks, frame: np.ndarray | None = None) -> np.ndarray:
-        """Isometry onto the range of the sum of P_j over the block indices given,
-        in the coordinates of a unitary frame if one is given."""
-        labels, w = self._block_basis
-        chosen = np.zeros(len(self.freqs), dtype=bool)
-        chosen[blocks] = True
-        if frame is w:  # W^dagger W = I exactly: columns of the identity
-            return np.eye(self.dim)[:, chosen[labels]]
-        iso = w[:, chosen[labels]]
-        return iso if frame is None else frame.conj().T @ iso
+    def _frame_rows(self, blocks) -> np.ndarray:
+        """The block-frame rows (columns of W) that the P_j over the block indices given occupy."""
+        return np.flatnonzero(np.isin(self._block_basis[0], blocks))
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> list[RepViolation]:
         """Check projection/orthogonality/completeness invariants; empty list iff valid."""

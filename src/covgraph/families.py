@@ -274,11 +274,9 @@ def entanglement_report(
 
     rows = []
     for idx, label in enumerate(BASIS_LABELS):
-        v = np.zeros(4, dtype=complex)
-        v[idx] = 1.0
-        pulled = adjoint(ident.matrix) @ v
+        pulled = ident.matrix[idx].conj()  # M^dagger e_idx
         coeffs, entropy = schmidt(pulled, 2, 2, tol)
-        corrected_weights = sorted((c * c for c in coeffs), reverse=True)
+        corrected_weights = [c * c for c in coeffs]  # descending, as the coefficients
         printed_sorted = sorted(printed, reverse=True)
         discrepancy = any(
             abs(cw - pw) > tol.eq_tol * 100.0
@@ -350,7 +348,7 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
         complement_residual=complement_residual,
         graph=graph,
         system=is_operator_system(graph, tol),
-        verdict_plus=_knill_laflamme(rep._isometry(0, graph._w), graph, tol),
-        verdict_minus=_knill_laflamme(rep._isometry(1, graph._w), graph, tol),
+        verdict_plus=_knill_laflamme(rep._frame_rows(0), graph, tol),
+        verdict_minus=_knill_laflamme(rep._frame_rows(1), graph, tol),
         entanglement=entanglement_report(params, tol),
     )

@@ -89,10 +89,8 @@ class OperatorGraph:
         return _from_frame(self._w, self._frame_basis)
 
     def _frame_block(self, rows: np.ndarray) -> np.ndarray:
-        """B'[:, rows, rows]; a proper subset of the rows of a compact graph is
-        scattered from F, without the (span_dim, dim, dim) stack."""
-        if self._f is None or len(rows) == self.dim:
-            return self._frame_basis[:, rows[:, None], rows]
+        """B'[:, rows, rows] of a compact graph, scattered from F without the
+        (span_dim, dim, dim) stack."""
         block = rows[:, None], rows
         return _unpack(self._f[block], self._slot[block], self.span_dim)
 
@@ -324,7 +322,8 @@ def two_block_maximal_graph(
     P-/sqrt(n-r) (unless zero) and the matrix units |u_a><w_b|, |w_b><u_a|."""
     rep = two_block_rep(p_plus, tol)  # raises unless a projection
     n = rep.dim
-    plus, minus = rep._isometry(0), rep._isometry(1)
+    labels, frame = rep._block_basis
+    plus, minus = frame[:, labels == 0], frame[:, labels == 1]
     blocks = [w @ adjoint(w) / math.sqrt(w.shape[1]) for w in (plus, minus) if w.shape[1]]
     corner = np.einsum("ia,jb->abij", plus, minus.conj()).reshape(-1, n, n)
     return OperatorGraph(

@@ -31,15 +31,13 @@ __all__ = [
 
 @dataclass(frozen=True, kw_only=True)
 class Tolerance:
-    """Numerical thresholds shared across the package; the CLI applies the
-    same rule.  ``eq_tol`` governs equality/residual checks and must be at
-    least 1e-14: below it rounding alone fails exact inputs (the Bell d = 6,
-    j = 2 codes fail at 1e-15).  ``degeneracy_tol`` governs the clustering of
-    eigenphases.  Both must be finite, and the fields are keyword-only.
+    """The numerical threshold shared across the package; the CLI applies the
+    same rule.  ``eq_tol`` governs equality/residual checks, must be finite and
+    at least 1e-14: below it rounding alone fails exact inputs (the Bell d = 6,
+    j = 2 codes fail at 1e-15).  It is keyword-only.
     """
 
     eq_tol: float = 1e-10
-    degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.eq_tol < math.inf:
@@ -47,8 +45,6 @@ class Tolerance:
         if self.eq_tol < 1e-14:
             raise ValueError(f"tolerance must be at least 1e-14, got {self.eq_tol}: "
                              "below it, rounding error alone fails exact inputs")
-        if not 0.0 <= self.degeneracy_tol < math.inf:
-            raise ValueError(f"degeneracy_tol must be finite and >= 0, got {self.degeneracy_tol}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -190,27 +186,30 @@ def eig_hermitian(
     return eigvals, v
 
 
-def _cluster_sorted(values: np.ndarray, gap: float) -> list[np.ndarray]:
-    """Split the indices of an ascending array where neighbors differ by more than gap."""
-    splits = np.flatnonzero(np.diff(values) > gap) + 1
+_DEGENERACY_TOL = 1e-8  # eigenvalues or eigenphases this close, chained, are one
+
+
+def _cluster_sorted(values: np.ndarray) -> list[np.ndarray]:
+    """Split the indices of an ascending array where neighbors differ by more than 1e-8."""
+    splits = np.flatnonzero(np.diff(values) > _DEGENERACY_TOL) + 1
     return np.split(np.arange(len(values)), splits) if len(values) else []
 
 
-def _phase_clusters(phases: np.ndarray, weights: np.ndarray, gap: float) -> list[tuple]:
+def _phase_clusters(phases: np.ndarray, weights: np.ndarray) -> list[tuple]:
     """(weighted circular mean, indices) of each group of phases in [0, 2pi)
-    whose circular neighbors differ by <= gap, sorted by the mean.  A mean
-    within gap of 0 mod 2pi is 0.0, so it sorts first however it rounded."""
+    whose circular neighbors differ by <= 1e-8, sorted by the mean.  A mean
+    within 1e-8 of 0 mod 2pi is 0.0, so it sorts first however it rounded."""
     order = np.argsort(phases, kind="stable")
-    clusters = [order[c] for c in _cluster_sorted(phases[order], gap)]
+    clusters = [order[c] for c in _cluster_sorted(phases[order])]
     # the circle wraps: a cluster near 2pi may continue at 0
     if len(clusters) > 1 and (
-        phases[clusters[0][0]] + 2.0 * math.pi - phases[clusters[-1][-1]] <= gap
+        phases[clusters[0][0]] + 2.0 * math.pi - phases[clusters[-1][-1]] <= _DEGENERACY_TOL
     ):
         clusters[0] = np.concatenate([clusters.pop(), clusters[0]])
     result = []
     for idx in clusters:
         mean = float(np.angle(weights[idx] @ np.exp(1j * phases[idx])) % (2.0 * math.pi))
-        result.append((0.0 if min(mean, 2.0 * math.pi - mean) <= gap else mean, idx))
+        result.append((0.0 if min(mean, 2.0 * math.pi - mean) <= _DEGENERACY_TOL else mean, idx))
     return sorted(result, key=lambda item: item[0])
 
 
@@ -222,7 +221,7 @@ def spectral_projections_unitary(
     The commuting Hermitian pair C = (U+U^dagger)/2, S = (U-U^dagger)/(2i) is
     diagonalized jointly: C first, then S restricted to each degenerate
     eigenspace of C.  Eigenphases whose circular distance is at most
-    degeneracy_tol are merged into a single projection.
+    1e-8 are merged into a single projection.
     """
     u = _as_complex(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -233,7 +232,7 @@ def spectral_projections_unitary(
     c = (u + adjoint(u)) / 2.0
     s = (u - adjoint(u)) / 2.0j
     cvals, v = eig_hermitian(c, tol)
-    for group in _cluster_sorted(cvals, tol.degeneracy_tol):
+    for group in _cluster_sorted(cvals):
         if len(group) > 1:
             w = v[:, group]
             sub = adjoint(w) @ s @ w
@@ -244,7 +243,7 @@ def spectral_projections_unitary(
     phases = np.angle(np.einsum("ij,ij->j", v.conj(), u @ v)) % (2.0 * math.pi)
 
     result = []
-    for phase, idx in _phase_clusters(phases, np.ones(n), tol.degeneracy_tol):
+    for phase, idx in _phase_clusters(phases, np.ones(n)):
         proj = v[:, idx] @ adjoint(v[:, idx])
         result.append((phase, (proj + adjoint(proj)) / 2.0))
     return result

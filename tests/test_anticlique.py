@@ -27,7 +27,7 @@ from covgraph import (
     verify_anticlique,
 )
 from covgraph.anticlique import _knill_laflamme
-from covgraph.linalg import DEFAULT_TOL, fingerprint, spectral_projections_unitary
+from covgraph.linalg import _DEGENERACY_TOL, DEFAULT_TOL, fingerprint, spectral_projections_unitary
 from helpers import (
     FREQS,
     P_PLUS_4,
@@ -268,7 +268,7 @@ class TestKnillLaflammeForm:
         rep = random_rep(rng, n, freqs[:n])
         graph = block_code_graph(rng, rep)
         scale = max_abs(graph.basis)
-        pairs = [(_knill_laflamme(rep._isometry(j, graph._w), graph, DEFAULT_TOL), p)
+        pairs = [(_knill_laflamme(rep._frame_rows(j), graph, DEFAULT_TOL), p)
                  for j, p in enumerate(rep.projections)]
         for phi in [1.0] + [a.phi for a in merged_spectrum_angles(rep)]:
             for result in anticliques_from_spectrum(rep, graph, [phi]):
@@ -314,9 +314,10 @@ class TestFrameAgainstPlain:
         for angle in merged_spectrum_angles(rep):
             groups += [list(g) for g in angle.partition if len(g) > 1]
         for blocks in groups:
+            rows = rep._frame_rows(blocks)
             assert_same_verdict(
-                _knill_laflamme(rep._isometry(blocks, graph._w), graph, DEFAULT_TOL),
-                _knill_laflamme(rep._isometry(blocks, plain._w), plain, DEFAULT_TOL),
+                _knill_laflamme(rows, graph, DEFAULT_TOL),
+                _knill_laflamme(rep._block_basis[1][:, rows], plain, DEFAULT_TOL),
                 scale,
             )
         phis = [1.0] + [angle.phi for angle in merged_spectrum_angles(rep)]
@@ -391,12 +392,12 @@ class TestSpectralCandidates:
             ]
             assert len(got) == len(want)
             for (e_got, p_got), (e_want, p_want) in zip(got, want):
-                assert abs(e_got - e_want) <= DEFAULT_TOL.degeneracy_tol
+                assert abs(e_got - e_want) <= _DEGENERACY_TOL
                 assert max_abs(p_got - p_want) <= 1e-10
 
     def test_zero_projection_does_not_chain_phases(self):
         # phases pi + 0.3e-8 * (1, 5, 9): the empty middle block lies within
-        # degeneracy_tol of both others, which are 1.2e-8 apart
+        # _DEGENERACY_TOL of both others, which are 1.2e-8 apart
         projections = np.zeros((3, 4, 4), dtype=complex)
         projections[0] = P_PLUS_4
         projections[2] = np.eye(4) - P_PLUS_4
@@ -497,7 +498,13 @@ class TestMergedSpectrumAngles:
 @pytest.mark.parametrize("call,message", [
     (lambda rep: anticliques_from_spectrum(rep, identity_graph(3), [1.0]),
      "graph and representation dimensions differ"),
-], ids=["graph-of-another-dimension"])
+    # the loop over denominators used to run for 2**62 steps; 10**5 + 1 pins the bound
+    (lambda rep: merged_spectrum_angles(CircleRep((2**62, -1), rep.projections)),
+     "frequencies span 4611686018427387905, above 10**5: "
+     "the merged angles would number at least 4611686018427387904"),
+    (lambda rep: merged_spectrum_angles(CircleRep((10**5, -1), rep.projections)),
+     "frequencies span 100001, above 10**5: the merged angles would number at least 100000"),
+], ids=["graph-of-another-dimension", "frequency-span-2**62", "frequency-span-10**5+1"])
 def test_input_rejections(block_rep, call, message):
     with pytest.raises(ValueError) as raised:
         call(block_rep)

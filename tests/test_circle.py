@@ -69,11 +69,13 @@ class TestStackedRep:
 class TestValidate:
     def test_standard_two_block_is_valid(self, block_rep):
         assert block_rep.validate() == []
+        assert block_rep.is_valid()
 
     def test_completeness_violation(self):
         rep = CircleRep(freqs=(1, -1), projections=(np.eye(4), np.eye(4)))
         violations = rep.validate()
         assert any(v.invariant == "completeness" for v in violations)
+        assert not rep.is_valid()
 
     def test_non_orthogonal_projections(self):
         rng = np.random.default_rng(0)
@@ -257,7 +259,7 @@ class TestBlockBasis:
 
     def test_isometry_of_a_group_spans_the_summed_projection(self):
         rep = bell_rep(3)
-        v = rep._isometry([0, 2])
+        v = rep._block_basis[1][:, rep._frame_rows([0, 2])]
         assert v.shape == (9, 6)
         assert max_abs(v @ v.conj().T - rep.projections[0] - rep.projections[2]) <= 1e-12
 
@@ -303,7 +305,10 @@ def test_two_block_rejects_non_projection():
 @pytest.mark.parametrize("build,message", [
     (lambda: CircleRep(freqs=(), projections=()),
      "freqs and projections must be non-empty and equal-length"),
-], ids=["empty"])
+    # is_valid() used to raise numpy's zero-size reduction error
+    (lambda: CircleRep(freqs=(0,), projections=np.zeros((1, 0, 0))),
+     "projections must be at least 1x1, got 0x0"),
+], ids=["empty", "zero-size"])
 def test_input_rejections(build, message):
     with pytest.raises(ValueError) as raised:
         build()

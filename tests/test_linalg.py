@@ -363,7 +363,6 @@ class TestProjectionPredicate:
 class TestTolerance:
     def test_defaults(self):
         assert DEFAULT_TOL.eq_tol == 1e-10
-        assert DEFAULT_TOL.degeneracy_tol == 1e-8
 
     # 5e-13 used to raise "eq_tol must be >= eig_tol" against a field no solver read
     @pytest.mark.parametrize("value", [1e-14, 5e-13, 1e-10, 1e-4])
@@ -386,19 +385,16 @@ class TestTolerance:
             Tolerance(eq_tol=value)
         assert str(raised.value) == message
 
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Tolerance(degeneracy_tol=-1.0)
-
-    @pytest.mark.parametrize("field", ["eq_tol", "degeneracy_tol"])
+    @pytest.mark.parametrize("field", ["eq_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             Tolerance(**{field: value})
 
-    # a positional Tolerance(1e-10, 1e-12) would otherwise set degeneracy_tol to 1e-12
-    @pytest.mark.parametrize("args,kwargs", [((), {"eig_tol": 1e-12}), ((1e-10, 1e-8), {})],
-                             ids=["eig_tol", "positional"])
-    def test_takes_only_its_two_keywords(self, args, kwargs):
+    # the removed eig_tol and degeneracy_tol fields, and a positional eq_tol
+    @pytest.mark.parametrize("args,kwargs", [
+        ((), {"eig_tol": 1e-12}), ((), {"degeneracy_tol": 1e-8}), ((1e-10,), {}),
+    ], ids=["eig_tol", "degeneracy_tol", "positional"])
+    def test_takes_only_eq_tol_by_keyword(self, args, kwargs):
         with pytest.raises(TypeError):
             Tolerance(*args, **kwargs)
