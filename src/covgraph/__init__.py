@@ -25,6 +25,7 @@ from .bell import (
 )
 from .circle import CircleRep, RepViolation, two_block_rep
 from .families import (
+    PRODUCT_LABELS,
     BasisEntanglement,
     EntanglementReport,
     FamilyParams,
@@ -79,6 +80,7 @@ __all__ = [
     "MergedSpectrum",
     "OperatorGraph",
     "OperatorSystemCheck",
+    "PRODUCT_LABELS",
     "RepViolation",
     "SpectralVerdict",
     "TensorIdentification",

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleRep
+from .circle import CircleRep, _require_finite_angles
 from .graphs import OperatorGraph
-from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, adjoint, fingerprint, is_projection
+from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, adjoint, is_projection
 
 __all__ = [
     "AnticliqueVerdict",
@@ -47,7 +47,7 @@ class AnticliqueVerdict:
     constants: tuple[complex, ...]
     max_residual: float
     code_dimension: int
-    witness: tuple[int, str] | None  # (worst basis index, residual fingerprint)
+    witness: tuple[int, int, int] | None  # (worst basis index, row, col) of the worst entry
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,9 @@ def _knill_laflamme(code: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> A
 
     X_A = V^dagger A V for the whole frame basis in one product, c_A = tr X_A / r,
     and the residual of A is max_abs(V (X_A - c_A I) V^dagger) = max_abs(P A P -
-    c_A P), 0 where X_A - c_A I is.  The witness is the last basis index
-    attaining the maximum.
+    c_A P), 0 where X_A - c_A I is.  A failed check's witness is (j, row, col):
+    the last basis index attaining the maximum and the first entry, row-major,
+    of P B_j P - c_j P that does; None when every residual is exactly 0.
     """
     if code.ndim == 1:
         rank, iso, x = len(code), graph._w[:, code], graph._frame_block(code)
@@ -107,18 +108,22 @@ def _knill_laflamme(code: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> A
     constants = diagonals.sum(axis=1) / rank
     diagonals -= constants[:, None]
     live = x.reshape(len(x), rank * rank).any(axis=1)
+    entries = np.abs(iso @ x[live] @ adjoint(iso))  # |P B_j P - c_j P| of the live j
     residuals = np.zeros(len(x))
-    residuals[live] = np.abs(iso @ x[live] @ adjoint(iso)).max(axis=(1, 2))
+    residuals[live] = entries.max(axis=(1, 2))
     worst = len(residuals) - 1 - int(np.argmax(residuals[::-1])) if len(residuals) else None
     max_residual = 0.0 if worst is None else float(residuals[worst])
     passed = max_residual <= tol.eq_tol and rank >= 2
+    witness = None
+    if not passed and max_residual > 0.0:  # then the worst element is live
+        flat = int(np.argmax(entries[np.count_nonzero(live[:worst])]))  # row-major
+        witness = (worst, *divmod(flat, len(iso)))
     return AnticliqueVerdict(
         passed=passed,
         constants=tuple(constants.tolist()),
         max_residual=max_residual,
         code_dimension=rank,
-        witness=None if passed or worst is None else (
-            worst, fingerprint(iso @ x[worst] @ adjoint(iso))),
+        witness=witness,
     )
 
 
@@ -137,6 +142,7 @@ def anticliques_from_spectrum(
     """
     if graph.dim != rep.dim:
         raise ValueError("graph and representation dimensions differ")
+    _require_finite_angles(phis)
     rep._require_valid(tol)
     labels, w = rep._block_basis
     ranks = np.bincount(labels, minlength=len(rep.freqs))

@@ -68,10 +68,6 @@ class CircleRep:
     def dim(self) -> int:
         return self.projections.shape[1]
 
-    @property
-    def max_freq(self) -> int:
-        return max(abs(s) for s in self.freqs)
-
     @functools.cached_property
     def _block_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, W): a unitary W whose columns labelled j span the range of
@@ -133,6 +129,7 @@ class CircleRep:
     def unitary(self, phi: float | np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """The representation unitary at angle phi, or one per angle for an
         array of angles; requires a valid representation."""
+        _require_finite_angles(phi)
         self._require_valid(tol)
         return self._unitary(phi)
 
@@ -166,6 +163,14 @@ class CircleRep:
         difference |s_j - s_k| (in particular whenever N > 2*max|s_j|).
         """
         return self._conjugates(a, n_samples).sum(axis=0) / n_samples
+
+
+def _require_finite_angles(phi) -> None:
+    """Raise ValueError naming the first non-finite angle; exp(i*s*nan) is NaN."""
+    angles = np.asarray(phi, dtype=float).ravel()
+    bad = angles[~np.isfinite(angles)]
+    if bad.size:
+        raise ValueError(f"angles must be finite, got {float(bad[0])}")
 
 
 def _from_frame(w: np.ndarray, a: np.ndarray) -> np.ndarray:

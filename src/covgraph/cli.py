@@ -73,8 +73,6 @@ def canonical_dumps(obj) -> str:
 
 def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        m = m.reshape(-1, 1)
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),

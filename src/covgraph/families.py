@@ -157,12 +157,11 @@ class TensorIdentification:
     """Invertible map sending the product basis of C^2 (x) C^2 to four targets.
 
     ``matrix`` is the operator in the standard bases: column 2i+j holds the
-    target assigned to e_i (x) e_j, matching ``assignment`` in lexicographic
-    label order (xx, xy, yx, yy).
+    target assigned to e_i (x) e_j, the label at index 2i+j of PRODUCT_LABELS
+    (xx, xy, yx, yy).
     """
 
     matrix: np.ndarray
-    assignment: tuple[tuple[str, np.ndarray], ...]
     is_unitary: bool
 
     def pull_back(self, v: np.ndarray) -> np.ndarray:
@@ -200,10 +199,7 @@ def tensor_identification(
             f"targets are linearly dependent (Gram determinant {abs(det):.3g}, rank {rank})"
         )
     is_unitary = max_abs(gram - np.eye(4)) <= tol.eq_tol
-    assignment = tuple(
-        (label, col.copy()) for label, col in zip(PRODUCT_LABELS, cols)
-    )
-    return TensorIdentification(matrix=matrix, assignment=assignment, is_unitary=is_unitary)
+    return TensorIdentification(matrix=matrix, is_unitary=is_unitary)
 
 
 def corrected_identification(

@@ -25,7 +25,6 @@ from .linalg import (
     _require_finite,
     adjoint,
     eig_hermitian,
-    fingerprint,
     gram_schmidt_operators,
     hs_inner,
     hs_norm,
@@ -62,21 +61,21 @@ class OperatorGraph:
     frame, so one matrix F carries them all and ``slot`` labels each entry
     with the index of its element (-1 on no element)."""
 
-    def __init__(self, dim: int, basis, source: dict | None = None):
+    def __init__(self, dim: int, basis):
         basis = np.asarray(basis, dtype=complex)
         if basis.size == 0:
             basis = basis.reshape(0, dim, dim)
         if basis.shape[1:] != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} basis matrices, got {basis.shape}")
-        self.dim, self.span_dim, self.source = dim, len(basis), {} if source is None else source
+        self.dim, self.span_dim = dim, len(basis)
         self.basis = self._frame_basis = basis  # W = I: the frame basis is the basis
         self._w, self._f, self._slot = np.eye(dim, dtype=complex), None, None
 
     @classmethod
-    def _compact(cls, w: np.ndarray, f: np.ndarray, slot: np.ndarray, span_dim: int,
-                 source: dict) -> OperatorGraph:
+    def _compact(cls, w: np.ndarray, f: np.ndarray, slot: np.ndarray,
+                 span_dim: int) -> OperatorGraph:
         graph = cls.__new__(cls)
-        graph.dim, graph.span_dim, graph.source = len(w), span_dim, source
+        graph.dim, graph.span_dim = len(w), span_dim
         graph._w, graph._f, graph._slot = w, f, slot
         return graph
 
@@ -180,12 +179,10 @@ def orbit_graph(
     """Span of the conjugation orbit of the seed: the components A_m / ||A_m||_HS,
     held in the rep's block frame as one matrix F and its slots.  The rep must
     be valid; that is not checked."""
-    seed = np.asarray(seed, dtype=complex)
+    ms, f, slot, _ = _frame_span(rep, seed, tol)  # names a malformed seed first
     if not allow_nonpositive:
-        _positivity_check(seed, tol)
-    ms, f, slot, _ = _frame_span(rep, seed, tol)
-    source = {"method": "frequency-components", "freqs": rep.freqs, "seed": fingerprint(seed)}
-    return OperatorGraph._compact(rep._block_basis[1], f, slot, len(ms), source)
+        _positivity_check(np.asarray(seed, dtype=complex), tol)
+    return OperatorGraph._compact(rep._block_basis[1], f, slot, len(ms))
 
 
 def sampled_orbit_graph(
@@ -200,16 +197,7 @@ def sampled_orbit_graph(
     difference; kept as a quadrature-based cross-check of the analytic route.
     """
     basis, _, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
-    return OperatorGraph(
-        dim=rep.dim,
-        basis=basis,
-        source={
-            "method": "sampled-orbit",
-            "freqs": rep.freqs,
-            "n_samples": n_samples,
-            "seed": fingerprint(seed),
-        },
-    )
+    return OperatorGraph(dim=rep.dim, basis=basis)
 
 
 def _flat_basis(graph: OperatorGraph) -> np.ndarray:
@@ -326,8 +314,5 @@ def two_block_maximal_graph(
     plus, minus = frame[:, labels == 0], frame[:, labels == 1]
     blocks = [w @ adjoint(w) / math.sqrt(w.shape[1]) for w in (plus, minus) if w.shape[1]]
     corner = np.einsum("ia,jb->abij", plus, minus.conj()).reshape(-1, n, n)
-    return OperatorGraph(
-        dim=n,
-        basis=np.concatenate([np.array(blocks), corner, corner.conj().transpose(0, 2, 1)]),
-        source={"method": "two-block-maximal", "seed": fingerprint(p_plus)},
-    )
+    basis = np.concatenate([np.array(blocks), corner, corner.conj().transpose(0, 2, 1)])
+    return OperatorGraph(dim=n, basis=basis)

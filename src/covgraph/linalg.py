@@ -7,7 +7,6 @@ singular-value problems go to LAPACK through ``numpy.linalg``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ __all__ = [
     "DEFAULT_TOL",
     "adjoint",
     "max_abs",
-    "num_close",
     "hs_inner",
     "hs_norm",
     "is_projection",
@@ -26,7 +24,6 @@ __all__ = [
     "eig_hermitian",
     "spectral_projections_unitary",
     "schmidt",
-    "fingerprint",
 ]
 
 @dataclass(frozen=True, kw_only=True)
@@ -65,11 +62,6 @@ def max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def num_close(x, y, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Absolute-plus-relative scalar comparison: |x-y| <= eq_tol*(1+max(|x|,|y|))."""
-    return abs(x - y) <= tol.eq_tol * (1.0 + max(abs(x), abs(y)))
-
-
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product Tr(A^dagger B), conjugate-linear in A."""
     a, b = _as_complex(a), _as_complex(b)
@@ -90,22 +82,6 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         return False
     return max_abs(p - adjoint(p)) <= tol.eq_tol and max_abs(p @ p - p) <= tol.eq_tol
-
-
-_FINGERPRINT_DIGITS = 12
-
-
-def fingerprint(a: np.ndarray) -> str:
-    """Short deterministic hex digest of a matrix, for provenance metadata: entries
-    rounded to 12 digits relative to the largest one, which is hashed with them."""
-    a = _as_complex(a)
-    scale = max_abs(a) or 1.0
-    data = np.round(a / scale, _FINGERPRINT_DIGITS) + 0.0  # normalize -0.0
-    h = hashlib.sha1()
-    h.update(str(a.shape).encode())
-    h.update(f"{scale:.{_FINGERPRINT_DIGITS - 1}e}".encode())
-    h.update(data.tobytes())
-    return h.hexdigest()[:16]
 
 
 def gram_schmidt_operators(
@@ -263,7 +239,7 @@ def schmidt(
         raise ValueError(f"vector length {vec.size} != {d_a}*{d_b}")
     _require_finite(vec)
     norm = float(np.linalg.norm(vec))
-    if not num_close(norm, 1.0, tol):
+    if abs(norm - 1.0) > tol.eq_tol * (1.0 + max(norm, 1.0)):
         raise ValueError(f"vector norm {norm} is not 1 within eq_tol")
     coeffs = np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False)
     return coeffs, _shannon_bits(coeffs * coeffs)

@@ -27,7 +27,7 @@ from covgraph import (
     verify_anticlique,
 )
 from covgraph.anticlique import _knill_laflamme
-from covgraph.linalg import _DEGENERACY_TOL, DEFAULT_TOL, fingerprint, spectral_projections_unitary
+from covgraph.linalg import _DEGENERACY_TOL, DEFAULT_TOL, spectral_projections_unitary
 from helpers import (
     FREQS,
     P_PLUS_4,
@@ -51,7 +51,7 @@ def corner_seed(rng, c=1.0):
 
 def identity_graph(n):
     basis, _, _ = gram_schmidt_operators([np.eye(n)])
-    return OperatorGraph(dim=n, basis=tuple(basis), source={})
+    return OperatorGraph(dim=n, basis=tuple(basis))
 
 
 class TestVerifyAnticlique:
@@ -120,18 +120,19 @@ class TestVerifyAnticlique:
         residual_matrices = []
         for a in graph.basis:
             pap = skew @ a @ skew
-            residual_matrices.append(pap - (np.trace(pap) / 2) * skew)
-        residuals = [max_abs(r) for r in residual_matrices]
-        # ties go to the last index attaining the maximum
+            residual_matrices.append(np.abs(pap - (np.trace(pap) / 2) * skew))
+        residuals = [r.max() for r in residual_matrices]
+        # ties go to the last index attaining the maximum, then to the first
+        # entry of its residual matrix in row-major order
         worst = max(i for i, r in enumerate(residuals) if r == max(residuals))
-        assert verdict.witness == (worst, fingerprint(residual_matrices[worst]))
+        row, col = np.unravel_index(np.argmax(residual_matrices[worst]), (4, 4))
+        assert verdict.witness == (worst, row, col)
+        assert all(type(i) is int for i in verdict.witness)
 
     def test_scale_invariance(self, block_rep):
         rng = np.random.default_rng(3)
         graph = orbit_graph(block_rep, corner_seed(rng))
-        scaled = OperatorGraph(
-            dim=4, basis=tuple(3.0j * b for b in graph.basis), source={}
-        )
+        scaled = OperatorGraph(dim=4, basis=tuple(3.0j * b for b in graph.basis))
         v1 = verify_anticlique(P_PLUS_4, graph)
         v2 = verify_anticlique(P_PLUS_4, scaled)
         assert v1.passed == v2.passed
@@ -173,7 +174,7 @@ class TestVerifyAnticlique:
         def graph_with_identity(seed):
             comps = [c.operator for c in frequency_components(block_rep, seed)]
             basis, _, _ = gram_schmidt_operators([np.eye(4)] + comps)
-            return OperatorGraph(dim=4, basis=tuple(basis), source={})
+            return OperatorGraph(dim=4, basis=tuple(basis))
 
         s = random_offblock(rng)
         good = 0.7 * P_PLUS_4 + 0.3 * p_minus + 0.1 * s
@@ -218,17 +219,19 @@ class TestConjugationInvariance:
 
 
 def compression_reference(p, graph, tol=DEFAULT_TOL):
-    """The check formed directly as P A P - c_A P:
-    (passed, rank, constants, residual of each basis element)."""
+    """The check formed directly as R_A = P A P - c_A P:
+    (passed, rank, constants, residual of each basis element, the R_A)."""
     rank = int(round(np.trace(p).real))
     pap = p @ graph.basis @ p
     constants = np.trace(pap, axis1=1, axis2=2) / rank
-    residuals = np.abs(pap - constants[:, None, None] * p).max(axis=(1, 2))
-    return residuals.max() <= tol.eq_tol and rank >= 2, rank, constants, residuals
+    matrices = pap - constants[:, None, None] * p
+    residuals = np.abs(matrices).max(axis=(1, 2))
+    passed = residuals.max() <= tol.eq_tol and rank >= 2
+    return passed, rank, constants, residuals, matrices
 
 
 def assert_agrees(verdict, reference, scale):
-    passed, rank, constants, residuals = reference
+    passed, rank, constants, residuals, matrices = reference
     assert (verdict.passed, verdict.code_dimension) == (passed, rank)
     assert max_abs(np.subtract(verdict.constants, constants)) <= 1e-12 * scale
     assert abs(verdict.max_residual - residuals.max()) <= 1e-12 * scale
@@ -238,6 +241,12 @@ def assert_agrees(verdict, reference, scale):
     if residuals.max() > 1e-9 * scale:
         tied = np.flatnonzero(residuals >= residuals.max() - 1e-12 * scale)
         assert verdict.witness[0] in tied
+    # a failed check names an entry attaining the maximum; an exact 0 has none
+    if verdict.passed or verdict.max_residual == 0.0:
+        assert verdict.witness is None
+    else:
+        j, row, col = verdict.witness
+        assert abs(abs(matrices[j][row, col]) - residuals.max()) <= 1e-12 * scale
 
 
 def block_code_graph(rng, rep):
@@ -498,13 +507,19 @@ class TestMergedSpectrumAngles:
 @pytest.mark.parametrize("call,message", [
     (lambda rep: anticliques_from_spectrum(rep, identity_graph(3), [1.0]),
      "graph and representation dimensions differ"),
+    # a NaN angle used to give one verdict on the whole space at eigenphase nan
+    (lambda rep: anticliques_from_spectrum(rep, orbit_graph(rep, np.eye(4)), [1.0, math.nan]),
+     "angles must be finite, got nan"),
+    (lambda rep: anticliques_from_spectrum(rep, orbit_graph(rep, np.eye(4)), [-math.inf]),
+     "angles must be finite, got -inf"),
     # the loop over denominators used to run for 2**62 steps; 10**5 + 1 pins the bound
     (lambda rep: merged_spectrum_angles(CircleRep((2**62, -1), rep.projections)),
      "frequencies span 4611686018427387905, above 10**5: "
      "the merged angles would number at least 4611686018427387904"),
     (lambda rep: merged_spectrum_angles(CircleRep((10**5, -1), rep.projections)),
      "frequencies span 100001, above 10**5: the merged angles would number at least 100000"),
-], ids=["graph-of-another-dimension", "frequency-span-2**62", "frequency-span-10**5+1"])
+], ids=["graph-of-another-dimension", "nan-angle", "infinite-angle", "frequency-span-2**62",
+        "frequency-span-10**5+1"])
 def test_input_rejections(block_rep, call, message):
     with pytest.raises(ValueError) as raised:
         call(block_rep)

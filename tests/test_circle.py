@@ -308,7 +308,10 @@ def test_two_block_rejects_non_projection():
     # is_valid() used to raise numpy's zero-size reduction error
     (lambda: CircleRep(freqs=(0,), projections=np.zeros((1, 0, 0))),
      "projections must be at least 1x1, got 0x0"),
-], ids=["empty", "zero-size"])
+    # exp(i*s*nan) used to give an all-NaN unitary
+    (lambda: bell_rep(2).unitary(np.nan), "angles must be finite, got nan"),
+    (lambda: bell_rep(2).unitary(np.array([0.0, np.inf])), "angles must be finite, got inf"),
+], ids=["empty", "zero-size", "nan-angle", "infinite-angle"])
 def test_input_rejections(build, message):
     with pytest.raises(ValueError) as raised:
         build()

@@ -458,6 +458,9 @@ REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
     (VERIFY, {"rep": {"dim": 4, "projections": REP_DOC["projections"]}}, None,
      "representation document missing/invalid field: 'freqs'"),
     (VERIFY, {"rep": {**REP_DOC, "dim": 3}}, None, "projections are 4x4, but dim is 3"),
+    # used to exit 2 with numpy's "operands could not be broadcast together"
+    (VERIFY, {"m0": {"rows": 3, "cols": 4, "data": [[[1, 0]] * 4] * 3}}, None,
+     "expected a 4x4 matrix, got (3, 4)"),
     (["verify", "--rep", "{tmp}/missing.json", "--m0", "{m0}", "--proj", "{proj}"], {}, None,
      "cannot read {tmp}/missing.json"),
     (["bell", "--dim", "3", "--j", "1"], {}, "abc", "COVGRAPH_TOL is not a float: 'abc'"),
@@ -466,7 +469,7 @@ REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
     (["scan", "--grid", "0:1:x"], {}, None, "malformed grid '0:1:x'"),
     (["scan", "--grid", "a,b"], {}, None, "malformed grid 'a,b'"),
 ], ids=["matrix-not-object", "rep-not-object", "rows-0", "cols-0", "rep-without-freqs",
-        "dim-disagrees", "unreadable-rep", "env-tol-not-float", "grid-two-fields",
+        "dim-disagrees", "seed-3x4", "unreadable-rep", "env-tol-not-float", "grid-two-fields",
         "grid-count-0", "grid-count-not-int", "grid-not-floats"])
 def test_input_rejections(argv, docs, env, message, instance_files, tmp_path, capsys, monkeypatch):
     paths = {**instance_files, "tmp": str(tmp_path)}

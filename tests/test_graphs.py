@@ -199,12 +199,6 @@ class TestOrbitGraph:
             for j, b in enumerate(graph.basis):
                 assert hs_inner(a, b) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
-    def test_source_metadata(self, block_rep):
-        graph = orbit_graph(block_rep, np.eye(4))
-        assert graph.source["method"] == "frequency-components"
-        assert graph.source["freqs"] == (1, -1)
-        assert isinstance(graph.source["seed"], str)
-
 
 def orbit_seed(rng, rep, kind):
     """A dense seed, its pinching (only the m = 0 component survives) or the
@@ -388,7 +382,7 @@ class TestOperatorSystem:
         from covgraph import OperatorGraph, gram_schmidt_operators
 
         basis, _, _ = gram_schmidt_operators([f])
-        graph = OperatorGraph(dim=4, basis=tuple(basis), source={})
+        graph = OperatorGraph(dim=4, basis=tuple(basis))
         check = is_operator_system(graph)
         assert not check.contains_identity
         assert not check.adjoint_closed
@@ -529,7 +523,12 @@ class TestMaximalGraph:
 @pytest.mark.parametrize("seed,message", [
     (np.triu(np.ones((4, 4))), "seed is not positive semidefinite (not Hermitian); "
                                "pass allow_nonpositive=True to explore anyway"),
-], ids=["non-hermitian-seed"])
+    # the PSD check used to run first and fail with numpy's broadcast or shape error
+    (np.ones((3, 4)), "expected a 4x4 matrix, got (3, 4)"),
+    (np.ones(4), "expected a 4x4 matrix, got (4,)"),
+    (np.eye(3), "expected a 4x4 matrix, got (3, 3)"),
+    (-np.eye(3), "expected a 4x4 matrix, got (3, 3)"),
+], ids=["non-hermitian-seed", "seed-3x4", "seed-1-d", "seed-3x3", "non-psd-seed-3x3"])
 def test_input_rejections(block_rep, seed, message):
     with pytest.raises(ValueError) as raised:
         orbit_graph(block_rep, seed)

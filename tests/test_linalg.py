@@ -9,7 +9,6 @@ eigendecompositions."""
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from covgraph import (
     spectral_projections_unitary,
     two_block_rep,
 )
-from covgraph.linalg import fingerprint
 from helpers import (
     P_PLUS_4,
     SIGMA_X,
@@ -266,29 +264,6 @@ def test_input_rejections(call, arg, message):
     with pytest.raises(ValueError) as raised:
         call(arg)
     assert str(raised.value) == message
-
-
-class TestFingerprint:
-    def test_tells_scales_apart_without_overflow(self):
-        a = np.random.default_rng(3).normal(size=(3, 3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fingerprint(1e300 * np.eye(3)) != fingerprint(2e300 * np.eye(3))
-            assert fingerprint(1e-14 * a) != fingerprint(0.0 * a)
-            assert fingerprint(1e-14 * a) != fingerprint(1e-13 * a)
-
-    def test_digests_are_stable(self):
-        a = np.random.default_rng(3).normal(size=(3, 3))
-        b = np.random.default_rng(4).normal(size=(3, 3))
-        assert fingerprint(1e300 * np.eye(3)) == "d58f2482eba91343"
-        assert fingerprint(1e-14 * a) == "01f792c6d6381954"
-        assert fingerprint(b) == "29567af10664374a"
-        assert fingerprint(np.zeros((2, 2))) == "8b286664ab86c019"
-
-    def test_ignores_rounding_and_negative_zero(self):
-        a = np.random.default_rng(4).normal(size=(3, 3))
-        assert fingerprint(a) == fingerprint(a * (1.0 + 1e-15))
-        assert fingerprint(np.zeros((2, 2))) == fingerprint(-np.zeros((2, 2)))
 
 
 class TestSchmidt:
