@@ -58,7 +58,6 @@ from .linalg import (
     eig_hermitian,
     gram_schmidt_operators,
     hs_inner,
-    hs_norm,
     is_projection,
     max_abs,
     schmidt,
@@ -101,7 +100,6 @@ __all__ = [
     "frequency_components",
     "gram_schmidt_operators",
     "hs_inner",
-    "hs_norm",
     "is_operator_system",
     "is_projection",
     "max_abs",

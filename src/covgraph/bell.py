@@ -56,8 +56,8 @@ def bell_state(d: int, s: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def bell_rep(d: int) -> CircleRep:
     """Circle representation with frequencies 1..d and P_s spanning the d
-    Bell vectors psi_{s,1..d}.  Cached per d and read-only: rebuilding the
-    stack per report made the heap grow and shrink around each check at d = 8."""
+    Bell vectors psi_{s,1..d}.  Cached per d and read-only: the cached rep
+    keeps its block frame, so a repeated report skips that n x n eigh."""
     vecs = _bell_vectors(d)
     projections = vecs.transpose(0, 2, 1) @ vecs.conj()  # P_s = sum_n |psi_sn><psi_sn|
     projections.flags.writeable = False

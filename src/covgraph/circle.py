@@ -43,7 +43,8 @@ class CircleRep:
         # makes it an object array, which np.exp rejects
         big = next((s for s in freqs if abs(s) >= 2**63), None)
         if big is not None:
-            raise ValueError(f"frequencies must be below 2**63 in magnitude, got {big:.3g}")
+            raise ValueError("frequencies must be below 2**63 in magnitude, "
+                             f"got a {big.bit_length()}-bit frequency")
         if len(freqs) != len(self.projections) or not freqs:
             raise ValueError("freqs and projections must be non-empty and equal-length")
         if len(set(freqs)) != len(freqs):
@@ -151,7 +152,7 @@ class CircleRep:
     def _conjugates(self, a: np.ndarray, n_samples: int) -> np.ndarray:
         """U A U^dagger at the N angles 2pi k/N, as one (N, n, n) array."""
         a = self._operator(a)
-        if n_samples < 1:
+        if _as_integer(n_samples, "n_samples must be an integer") < 1:
             raise ValueError("n_samples must be >= 1")
         u = self._unitary(2.0 * math.pi * np.arange(n_samples) / n_samples)
         return u @ a @ u.conj().transpose(0, 2, 1)

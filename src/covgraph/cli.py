@@ -4,8 +4,7 @@ pipelines, and machine-readable reports.
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 input or usage
 error.  Reports follow the "covgraph-report/1" schema; JSON output is
 canonical (sorted keys, floats at 17 significant digits) so identical runs
-are byte-identical.  The environment variable COVGRAPH_TOL overrides the
-default equality tolerance; --tol takes precedence over the environment.
+are byte-identical.  --tol sets the equality tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 
@@ -38,29 +36,20 @@ class CliInputError(ValueError):
 # canonical JSON
 
 
-def _format_float(x: float) -> str:
-    if not math.isfinite(x):
-        return "null"
-    text = format(x, ".17g")
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
-
-
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
+    """Deterministic JSON: sorted keys, floats at 17 significant digits, a
+    non-finite float as null."""
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return "null"
+        text = format(float(obj), ".17g")
+        return text if any(ch in text for ch in ".eE") else text + ".0"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(canonical_dumps(v) for v in obj) + "]"
+        return "[" + ", ".join(map(canonical_dumps, obj)) + "]"
     if isinstance(obj, dict):
         items = sorted(obj.items())
         return "{" + ", ".join(f"{json.dumps(k)}: {canonical_dumps(v)}" for k, v in items) + "}"
@@ -160,21 +149,6 @@ def parse_angle(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
     return value
-
-
-def resolve_tolerance(tol_flag: float | None) -> Tolerance:
-    """The tolerance from --tol, else from COVGRAPH_TOL, else DEFAULT_TOL.
-    ``Tolerance`` rejects an unusable value with a ValueError (exit 2)."""
-    eq_tol = tol_flag
-    if eq_tol is None:
-        env = os.environ.get("COVGRAPH_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            eq_tol = float(env)
-        except ValueError as exc:
-            raise CliInputError(f"COVGRAPH_TOL is not a float: {env!r}") from exc
-    return Tolerance(eq_tol=eq_tol)
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -408,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a machine-readable report")
-    common.add_argument(
-        "--tol", type=float, default=None, help="equality tolerance (overrides COVGRAPH_TOL)"
-    )
+    common.add_argument("--tol", type=float, default=None, help="equality tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo4 = sub.add_parser(
@@ -459,7 +431,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, resolve_tolerance(args.tol))
+        return args.func(args, DEFAULT_TOL if args.tol is None else Tolerance(eq_tol=args.tol))
     except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -164,10 +164,6 @@ class TensorIdentification:
     matrix: np.ndarray
     is_unitary: bool
 
-    def pull_back(self, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a vector in the identified product basis (inverse map)."""
-        return np.linalg.solve(self.matrix, np.asarray(v, dtype=complex).reshape(-1))
-
 
 def tensor_identification(
     targets: dict[str, np.ndarray], tol: Tolerance = DEFAULT_TOL

@@ -27,7 +27,6 @@ from .linalg import (
     eig_hermitian,
     gram_schmidt_operators,
     hs_inner,
-    hs_norm,
     max_abs,
 )
 
@@ -100,7 +99,8 @@ class OperatorGraph:
         return (coeffs @ flat).reshape(a.shape)
 
     def project(self, a: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection onto the span of one matrix or a stack of them."""
+        """HS-orthogonal projection onto the span of one matrix or a stack of
+        them, as sum_j <b_j, a> b_j: exact only for an HS-orthonormal basis."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrices, got {a.shape}")
@@ -196,7 +196,7 @@ def sampled_orbit_graph(
     Matches orbit_graph once n_samples exceeds every nonzero frequency
     difference; kept as a quadrature-based cross-check of the analytic route.
     """
-    basis, _, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
+    basis, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
     return OperatorGraph(dim=rep.dim, basis=basis)
 
 
@@ -256,8 +256,13 @@ def is_operator_system(
     the graph's frame, where I stays I and the HS distance is unchanged; only
     the identity residual is transformed back.  A compact (orbit) graph gets
     both from F and its slots in O(n^2), a graph built from a basis from the
-    Gram products of its stack."""
+    Gram products of its stack; that basis must be HS-orthonormal within
+    eq_tol, else ValueError names the Gram residual."""
     if graph._f is None:
+        flat = graph._frame_basis.reshape(graph.span_dim, graph.dim * graph.dim)
+        gram_res = max_abs(flat.conj() @ flat.T - np.eye(graph.span_dim))
+        if gram_res > tol.eq_tol:
+            raise ValueError(f"graph basis is not HS-orthonormal (Gram residual {gram_res:.3g})")
         eye = np.eye(graph.dim, dtype=complex)
         id_res = eye - graph._project_frame(eye)
         adj = np.conj(graph._frame_basis.transpose(0, 2, 1))
@@ -296,8 +301,8 @@ def adjoint_closure_scalar(
     f_star = adjoint(comps[2])
     g = comps.get(-2, np.zeros_like(f_star))
     h = hs_inner(f_star, g) / hs_inner(f_star, f_star).real
-    residual = hs_norm(g - h * f_star)
-    if residual <= tol.eq_tol * hs_norm(g):
+    residual = np.linalg.norm(g - h * f_star)
+    if residual <= tol.eq_tol * np.linalg.norm(g):
         return h
     return None
 

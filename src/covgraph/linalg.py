@@ -18,7 +18,6 @@ __all__ = [
     "adjoint",
     "max_abs",
     "hs_inner",
-    "hs_norm",
     "is_projection",
     "gram_schmidt_operators",
     "eig_hermitian",
@@ -70,12 +69,6 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Frobenius norm, i.e. sqrt of the HS inner product of a with itself."""
-    a = _as_complex(a)
-    return float(math.sqrt(max(np.vdot(a, a).real, 0.0)))
-
-
 def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff p is Hermitian and idempotent within eq_tol (max-norm)."""
     p = _as_complex(p)
@@ -87,37 +80,32 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
 def gram_schmidt_operators(
     ops: list[np.ndarray] | tuple[np.ndarray, ...] | np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
-) -> tuple[np.ndarray, int, np.ndarray]:
+) -> tuple[np.ndarray, int]:
     """Orthonormalize a family of same-shape operators in the HS inner product.
 
     Gram-Schmidt in input order, projecting each input against the whole kept
     block at once, twice, on a copy divided by its largest entry.  An input
     whose residual is <= eq_tol * (largest input norm) is dropped as dependent,
     so the rank ignores the overall scale.  Raises ValueError on non-finite input.
-    Returns (basis, rank, coefficients): basis is a (rank, *shape) array and
-    ops_i = sum_j coefficients[i, j] basis_j, up to a dropped input's residual.
+    Returns (basis, rank): basis is a (rank, *shape) array whose span holds
+    every input, up to a dropped input's residual.
     """
     work = np.array(ops, dtype=complex)  # one stacked copy, orthonormalized in place
     _require_finite(work)
-    scale = max_abs(work) or 1.0
-    work /= scale  # so that no norm underflows or overflows
+    work /= max_abs(work) or 1.0  # so that no norm underflows or overflows
     k = len(work)
     flat = work.reshape(k, math.prod(work.shape[1:]))
     cut = tol.eq_tol * max(map(np.linalg.norm, flat), default=0.0)
-    coeffs = np.zeros((k, k), dtype=complex)
     rank = 0
-    for i in range(k):
-        v, kept = flat[i], flat[:rank]
+    for v in flat:
+        kept = flat[:rank]
         for _ in range(2):  # second pass restores orthogonality lost to rounding
-            c = (kept @ v.conj()).conj()  # <b_j, v>
-            v -= c @ kept
-            coeffs[i, :rank] += c
+            v -= (kept @ v.conj()).conj() @ kept  # minus sum_j <b_j, v> b_j
         r = float(np.linalg.norm(v))
         if r > cut:
             flat[rank] = v / r
-            coeffs[i, rank] = r
             rank += 1
-    return work[:rank], rank, coeffs[:, :rank] * scale
+    return work[:rank], rank
 
 
 def _require_finite(a: np.ndarray) -> None:

@@ -77,7 +77,7 @@ def pair_loop_graph(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL) -> Operat
             acc[sj - sk] = acc.get(sj - sk, 0.0) + pj @ seed @ pk
     cut = tol.eq_tol * max_abs(seed)
     kept = [acc[m] for m in sorted(acc) if max_abs(acc[m]) > cut]
-    basis, _, _ = gram_schmidt_operators(kept, tol)
+    basis, _ = gram_schmidt_operators(kept, tol)
     return OperatorGraph(rep.dim, basis)
 
 

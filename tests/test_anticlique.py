@@ -50,7 +50,7 @@ def corner_seed(rng, c=1.0):
 
 
 def identity_graph(n):
-    basis, _, _ = gram_schmidt_operators([np.eye(n)])
+    basis, _ = gram_schmidt_operators([np.eye(n)])
     return OperatorGraph(dim=n, basis=tuple(basis))
 
 
@@ -173,7 +173,7 @@ class TestVerifyAnticlique:
 
         def graph_with_identity(seed):
             comps = [c.operator for c in frequency_components(block_rep, seed)]
-            basis, _, _ = gram_schmidt_operators([np.eye(4)] + comps)
+            basis, _ = gram_schmidt_operators([np.eye(4)] + comps)
             return OperatorGraph(dim=4, basis=tuple(basis))
 
         s = random_offblock(rng)

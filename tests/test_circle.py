@@ -13,6 +13,7 @@ from covgraph import (
     bell_rep,
     first_factor_projection,
     max_abs,
+    sampled_orbit_graph,
     spectral_projections_unitary,
     two_block_rep,
 )
@@ -311,7 +312,16 @@ def test_two_block_rejects_non_projection():
     # exp(i*s*nan) used to give an all-NaN unitary
     (lambda: bell_rep(2).unitary(np.nan), "angles must be finite, got nan"),
     (lambda: bell_rep(2).unitary(np.array([0.0, np.inf])), "angles must be finite, got inf"),
-], ids=["empty", "zero-size", "nan-angle", "infinite-angle"])
+    # formatting the frequency as a float raised OverflowError
+    (lambda: CircleRep(freqs=(10**400, 1), projections=bell_rep(2).projections[:2]),
+     "frequencies must be below 2**63 in magnitude, got a 1329-bit frequency"),
+    # 2.5 samples averaged 3 conjugates and divided by 2.5
+    (lambda: bell_rep(2).haar_average(np.ones((4, 4)), 2.5),
+     "n_samples must be an integer, got 2.5"),
+    (lambda: sampled_orbit_graph(bell_rep(2), np.eye(4), 2.5),
+     "n_samples must be an integer, got 2.5"),
+], ids=["empty", "zero-size", "nan-angle", "infinite-angle", "frequency-10**400",
+        "haar-average-2.5-samples", "sampled-graph-2.5-samples"])
 def test_input_rejections(build, message):
     with pytest.raises(ValueError) as raised:
         build()

@@ -84,6 +84,24 @@ class TestSerialization:
     def test_keys_are_sorted(self):
         assert canonical_dumps({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
+    def test_exact_bytes(self):
+        doc = {
+            "floats": [0.1, 2.0, -0.0, 1e16, 1e-17, math.inf, -math.inf, math.nan,
+                       np.float64(1 / 3)],
+            "ints": [np.int64(-7), 12],
+            "flags": [True, False, None],
+            "s\u00e9": 'a"b\\\n\u00e9',
+        }
+        assert canonical_dumps(doc) == (
+            '{"flags": [true, false, null], '
+            '"floats": [0.10000000000000001, 2.0, -0.0, 10000000000000000.0, '
+            '1.0000000000000001e-17, null, null, null, 0.33333333333333331], '
+            '"ints": [-7, 12], '
+            r'"s\u00e9": "a\"b\\\n\u00e9"}'
+        )
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            canonical_dumps({1})
+
     @pytest.mark.parametrize(
         "entry,where",
         [([float("nan"), 0.0], "(1,0)"), ([0.0, None], "(1,0)"), ([float("inf"), 0.0], "(1,0)")],
@@ -130,8 +148,9 @@ class TestSerialization:
         assert "error: frequencies must be integers, got 1.7" in capsys.readouterr().err
 
     # beyond int64 the sampled unitaries raised TypeError, a traceback with exit 1
-    @pytest.mark.parametrize("freq,code", [(2**70, 2), (1e300, 2), (2**62, 0)],
-                             ids=["2**70", "1e300", "2**62"])
+    # 10**400 used to escape as OverflowError, from formatting it as a float
+    @pytest.mark.parametrize("freq,code", [(2**70, 2), (1e300, 2), (10**400, 2), (2**62, 0)],
+                             ids=["2**70", "1e300", "10**400", "2**62"])
     def test_frequency_must_fit_in_int64(self, freq, code, instance_files, tmp_path, capsys):
         doc = rep_to_json(two_block_rep(P_PLUS_4))
         doc["freqs"] = [freq, -1]
@@ -385,7 +404,7 @@ class TestVerify:
         assert "positive" in capsys.readouterr().err
         assert main(argv + ["--allow-nonpositive"]) in (0, 1)
 
-    def test_tolerance_env_and_flag(self, instance_files, tmp_path, capsys, monkeypatch):
+    def test_tolerance_flag(self, instance_files, tmp_path, capsys):
         perturbed = P_PLUS_4.copy()
         perturbed[0, 1] = 1e-6
         perturbed[1, 0] = 1e-6
@@ -396,12 +415,8 @@ class TestVerify:
         # default tolerance: the perturbed candidate is not a projection
         assert main(argv) == 2
         capsys.readouterr()
-        # a loose environment tolerance admits it
-        monkeypatch.setenv("COVGRAPH_TOL", "1e-4")
-        assert main(argv) == 0
-        capsys.readouterr()
-        # the flag wins over the environment
-        assert main(argv + ["--tol", "1e-10"]) == 2
+        # a loose tolerance admits it
+        assert main(argv + ["--tol", "1e-4"]) == 0
 
 
 class TestScan:
@@ -448,37 +463,32 @@ VERIFY = ["verify", "--rep", "{rep}", "--m0", "{m0}", "--proj", "{proj}"]
 REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
 
 
-@pytest.mark.parametrize("argv,docs,env,message", [
-    (VERIFY, {"m0": [1, 2]}, None, "matrix document must be a JSON object"),
-    (VERIFY, {"rep": [1]}, None, "representation document must be a JSON object"),
-    (VERIFY, {"m0": {"rows": 0, "cols": 2, "data": []}}, None,
-     "matrix dimensions must be positive"),
-    (VERIFY, {"m0": {"rows": 2, "cols": 0, "data": []}}, None,
-     "matrix dimensions must be positive"),
-    (VERIFY, {"rep": {"dim": 4, "projections": REP_DOC["projections"]}}, None,
+@pytest.mark.parametrize("argv,docs,message", [
+    (VERIFY, {"m0": [1, 2]}, "matrix document must be a JSON object"),
+    (VERIFY, {"rep": [1]}, "representation document must be a JSON object"),
+    (VERIFY, {"m0": {"rows": 0, "cols": 2, "data": []}}, "matrix dimensions must be positive"),
+    (VERIFY, {"m0": {"rows": 2, "cols": 0, "data": []}}, "matrix dimensions must be positive"),
+    (VERIFY, {"rep": {"dim": 4, "projections": REP_DOC["projections"]}},
      "representation document missing/invalid field: 'freqs'"),
-    (VERIFY, {"rep": {**REP_DOC, "dim": 3}}, None, "projections are 4x4, but dim is 3"),
+    (VERIFY, {"rep": {**REP_DOC, "dim": 3}}, "projections are 4x4, but dim is 3"),
     # used to exit 2 with numpy's "operands could not be broadcast together"
-    (VERIFY, {"m0": {"rows": 3, "cols": 4, "data": [[[1, 0]] * 4] * 3}}, None,
+    (VERIFY, {"m0": {"rows": 3, "cols": 4, "data": [[[1, 0]] * 4] * 3}},
      "expected a 4x4 matrix, got (3, 4)"),
-    (["verify", "--rep", "{tmp}/missing.json", "--m0", "{m0}", "--proj", "{proj}"], {}, None,
+    (["verify", "--rep", "{tmp}/missing.json", "--m0", "{m0}", "--proj", "{proj}"], {},
      "cannot read {tmp}/missing.json"),
-    (["bell", "--dim", "3", "--j", "1"], {}, "abc", "COVGRAPH_TOL is not a float: 'abc'"),
-    (["scan", "--grid", "0:1"], {}, None, "range grid must be start:stop:count"),
-    (["scan", "--grid", "0:1:0"], {}, None, "grid count must be >= 1"),
-    (["scan", "--grid", "0:1:x"], {}, None, "malformed grid '0:1:x'"),
-    (["scan", "--grid", "a,b"], {}, None, "malformed grid 'a,b'"),
+    (["scan", "--grid", "0:1"], {}, "range grid must be start:stop:count"),
+    (["scan", "--grid", "0:1:0"], {}, "grid count must be >= 1"),
+    (["scan", "--grid", "0:1:x"], {}, "malformed grid '0:1:x'"),
+    (["scan", "--grid", "a,b"], {}, "malformed grid 'a,b'"),
 ], ids=["matrix-not-object", "rep-not-object", "rows-0", "cols-0", "rep-without-freqs",
-        "dim-disagrees", "seed-3x4", "unreadable-rep", "env-tol-not-float", "grid-two-fields",
+        "dim-disagrees", "seed-3x4", "unreadable-rep", "grid-two-fields",
         "grid-count-0", "grid-count-not-int", "grid-not-floats"])
-def test_input_rejections(argv, docs, env, message, instance_files, tmp_path, capsys, monkeypatch):
+def test_input_rejections(argv, docs, message, instance_files, tmp_path, capsys):
     paths = {**instance_files, "tmp": str(tmp_path)}
     for name, doc in docs.items():
         path = tmp_path / f"bad-{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
-    if env is not None:
-        monkeypatch.setenv("COVGRAPH_TOL", env)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err
 
@@ -493,29 +503,21 @@ def test_allocation_failure_exits_2(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: Unable to allocate 1.15 PiB\n"
 
 
+def _flag_ids(value: str) -> str:
+    return f"flag-{value}"
+
+
 class TestTolerance:
     # inf used to pass bell with span_dim 0; nan and 0 failed with unrelated messages
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_unusable_tolerance_exits_2(self, value, source, capsys, monkeypatch):
-        argv = ["bell", "--dim", "3", "--j", "1"]
-        if source == "flag":
-            argv += ["--tol", value]
-        else:
-            monkeypatch.setenv("COVGRAPH_TOL", value)
-        assert main(argv) == 2
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"], ids=_flag_ids)
+    def test_unusable_tolerance_exits_2(self, value, capsys):
+        assert main(["bell", "--dim", "3", "--j", "1", "--tol", value]) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
     # at 1e-15, bell --dim 6 --j 2 fails its own exact codes on rounding
-    @pytest.mark.parametrize("value", ["1e-15", "1e-300"])
-    @pytest.mark.parametrize("source", ["flag", "env"])
-    def test_tolerance_below_rounding_exits_2(self, value, source, capsys, monkeypatch):
-        argv = ["bell", "--dim", "6", "--j", "2"]
-        if source == "flag":
-            argv += ["--tol", value]
-        else:
-            monkeypatch.setenv("COVGRAPH_TOL", value)
-        assert main(argv) == 2
+    @pytest.mark.parametrize("value", ["1e-15", "1e-300"], ids=_flag_ids)
+    def test_tolerance_below_rounding_exits_2(self, value, capsys):
+        assert main(["bell", "--dim", "6", "--j", "2", "--tol", value]) == 2
         assert "tolerance must be at least 1e-14" in capsys.readouterr().err
 
     def test_tolerance_at_the_floor_is_accepted(self):

@@ -381,11 +381,18 @@ class TestOperatorSystem:
         f = P_PLUS_4 @ random_offblock(rng) @ (np.eye(4) - P_PLUS_4)
         from covgraph import OperatorGraph, gram_schmidt_operators
 
-        basis, _, _ = gram_schmidt_operators([f])
+        basis, _ = gram_schmidt_operators([f])
         graph = OperatorGraph(dim=4, basis=tuple(basis))
         check = is_operator_system(graph)
         assert not check.contains_identity
         assert not check.adjoint_closed
+
+    # [I, I] spans {cI}, but projecting as if orthonormal read residuals 3.0 and 4.24
+    @pytest.mark.parametrize("basis", [[np.eye(2), np.eye(2)], [2.0 * np.eye(2) / np.sqrt(2.0)]],
+                             ids=["repeated", "scaled"])
+    def test_rejects_a_basis_that_is_not_orthonormal(self, basis):
+        with pytest.raises(ValueError, match=r"not HS-orthonormal \(Gram residual [23]\)"):
+            is_operator_system(OperatorGraph(2, basis))
 
     def test_group_invariance_of_span(self, block_rep):
         rng = np.random.default_rng(10)
