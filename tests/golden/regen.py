@@ -80,6 +80,7 @@ CASES = {
     **{f"bell-dim-{d}": ["bell", "--dim", str(d), "--j", str(j), "--json"]
        for d, j in ((2, 1), (3, 2), (4, 4), (5, 3), (6, 6), (8, 5))},
     "bell-bad-index": ["bell", "--dim", "3", "--j", "4", "--json"],
+    "bell-dim-12-floor": ["bell", "--dim", "12", "--j", "1", "--tol", "1e-14", "--json"],
     "scan-50": ["scan", "--grid", "0.05:0.45:50", "--json"],
     "scan-empty-grid": ["scan", "--grid", ",", "--json"],
     "verify-bell": _verify("bell3_rep.json", "bell3_m0.json", "bell3_proj.json"),
