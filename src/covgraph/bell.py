@@ -56,12 +56,11 @@ def bell_state(d: int, s: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def bell_rep(d: int) -> CircleRep:
     """Circle representation with frequencies 1..d and P_s spanning the d
-    Bell vectors psi_{s,1..d}.  Cached per d and read-only: the cached rep
-    keeps its block frame, so a repeated report skips that n x n eigh."""
-    vecs = _bell_vectors(d)
-    projections = vecs.transpose(0, 2, 1) @ vecs.conj()  # P_s = sum_n |psi_sn><psi_sn|
-    projections.flags.writeable = False
-    return CircleRep(freqs=tuple(range(1, d + 1)), projections=projections)
+    Bell vectors psi_{s,1..d}.  Its block frame is the Bell vectors
+    themselves, so no eigh recovers one.  Cached per d and read-only, so a
+    repeated report does not rebuild the (d, n, n) projection stack."""
+    frame = _bell_vectors(d).reshape(d * d, d * d).T  # column d(s-1)+(n-1) is psi_{s,n}
+    return CircleRep._from_frame(tuple(range(1, d + 1)), frame, np.repeat(np.arange(d), d))
 
 
 def first_factor_projection(d: int, j: int) -> np.ndarray:

@@ -69,14 +69,26 @@ class CircleRep:
     def dim(self) -> int:
         return self.projections.shape[1]
 
+    @classmethod
+    def _from_frame(cls, freqs, w: np.ndarray, labels) -> CircleRep:
+        """The representation with P_j = W_j W_j^dagger, W_j the columns of the
+        unitary W labelled j, holding (labels, W) as its ``_block_basis``, so
+        no eigh recovers a frame.  All three arrays are read-only."""
+        w, labels = np.array(w, dtype=complex), np.array(labels, dtype=int)
+        rep = cls(freqs, [v @ adjoint(v) for v in (w[:, labels == j] for j in range(len(freqs)))])
+        for a in (rep.projections, w, labels):
+            a.flags.writeable = False
+        object.__setattr__(rep, "_block_basis", (labels, w))
+        return rep
+
     @functools.cached_property
     def _block_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, W): a unitary W whose columns labelled j span the range of
         P_j, so W[:, labels == j] is an isometry V with V V^dagger = P_j.
 
-        One eigh of sum_j j P_j: its eigenvalues are the indices j, a gap of 1
-        apart, up to the rep's rounding.  Computed once per instance, read-only,
-        and meaningful only for a valid representation.
+        Given by ``_from_frame``, or else one eigh of sum_j j P_j: its eigenvalues
+        are the indices j, a gap of 1 apart, up to the rep's rounding.  Computed
+        once per instance, read-only, and meaningful only for a valid representation.
         """
         k, n = len(self.freqs), self.dim
         weighted = np.arange(k) @ self.projections.reshape(k, n * n)  # sum_j j P_j, flattened

@@ -334,6 +334,8 @@ def _cmd_verify(args, tol: Tolerance) -> int:
 
 def _cmd_scan(args, tol: Tolerance) -> int:
     grid = parse_grid(args.grid)
+    if args.seed < 0:  # numpy's own message names no flag
+        raise CliInputError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     assertions = []
     for i, tau in enumerate(grid):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anticlique import AnticliqueVerdict, _knill_laflamme
-from .circle import CircleRep, two_block_rep
+from .circle import CircleRep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import (
     DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, is_projection, max_abs, schmidt
@@ -57,9 +57,6 @@ PRODUCT_LABELS = ("xx", "xy", "yx", "yy")
 
 BASIS_LABELS = ("e+", "h+", "e-", "h-")
 
-# U_phi = exp(i phi) P_PLUS + exp(-i phi) (I - P_PLUS) is the two-block representation
-P_PLUS = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-
 
 @dataclass(frozen=True)
 class FamilyParams:
@@ -74,6 +71,10 @@ class FamilyParams:
     def __post_init__(self):
         if not 0.0 <= self.tau <= 0.5:
             raise ValueError(f"tau must lie in [0, 1/2], got {self.tau}")
+        # the corner's phase z3 takes z1 + z4 - z2, which overflows for finite z near 1e308
+        if not all(map(math.isfinite, (self.z1, self.z2, self.z4, self.z1 + self.z4 - self.z2))):
+            raise ValueError("phases z1, z2, z4 and z1 + z4 - z2 must be finite, got "
+                             f"z1={self.z1}, z2={self.z2}, z4={self.z4}")
         object.__setattr__(self, "k", _as_integer(self.k, "k must be an integer"))
 
     @property
@@ -303,20 +304,18 @@ class FamilyReport:
     trace_residual: float  # |tr Q - 2|
     complement_in_family: bool  # complement_residual <= eq_tol
     complement_residual: float  # max_abs(family_projection(recovered) - (I - Q)), inf if none
-    graph: OperatorGraph  # orbit span of Q under the representation on P_PLUS
+    graph: OperatorGraph  # orbit span of Q under the two-block representation
     system: OperatorSystemCheck
-    verdict_plus: AnticliqueVerdict  # P_PLUS
-    verdict_minus: AnticliqueVerdict  # I - P_PLUS
+    verdict_plus: AnticliqueVerdict  # P+ = diag(1, 1, 0, 0), onto span(e+, h+)
+    verdict_minus: AnticliqueVerdict  # P- = I - P+, onto span(e-, h-)
     entanglement: EntanglementReport
 
 
 @functools.cache
 def _family_rep() -> CircleRep:
-    """The two-block representation on P_PLUS, built once and read-only; P_PLUS
-    is an exact projection, so no tolerance changes it."""
-    rep = two_block_rep(P_PLUS)
-    rep.projections.flags.writeable = False
-    return rep
+    """U_phi = exp(i phi) P+ + exp(-i phi) P-, with P+ onto span(e+, h+), built
+    once and read-only from the standard basis as its block frame."""
+    return CircleRep._from_frame((1, -1), np.eye(4), (0, 0, 1, 1))
 
 
 def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyReport:

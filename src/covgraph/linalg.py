@@ -29,8 +29,8 @@ __all__ = [
 class Tolerance:
     """The numerical threshold shared across the package; the CLI applies the
     same rule.  ``eq_tol`` governs equality/residual checks, must be finite and
-    at least 1e-14: below it rounding alone fails exact inputs (the Bell d = 6,
-    j = 2 codes fail at 1e-15).  It is keyword-only.
+    at least 1e-14: below it rounding alone fails exact inputs (the Bell d = 8,
+    j = 7 graph has adjoint residual 1.6e-15).  It is keyword-only.
     """
 
     eq_tol: float = 1e-10

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from covgraph import (
+    Tolerance,
     bell_code_report,
     bell_rep,
     bell_state,
@@ -76,6 +77,18 @@ class TestBellRep:
         assert bell_rep(4) is rep
         with pytest.raises(ValueError):
             rep.projections[0, 0, 0] = 0.0
+
+    def test_frame_is_the_bell_vectors_without_an_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Bell frame is given; no eigh recovers it")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        d = 4
+        labels, w = bell_rep.__wrapped__(d)._block_basis  # a fresh rep, not the cached one
+        assert labels.tolist() == [s - 1 for s in range(1, d + 1) for _ in range(d)]
+        for s in range(1, d + 1):
+            for n in range(1, d + 1):
+                assert np.array_equal(w[:, d * (s - 1) + (n - 1)], bell_state(d, s, n))
 
     def test_d5_pinch_preserves_trace(self):
         rng = np.random.default_rng(0)
@@ -168,6 +181,13 @@ class TestBellCodeReport:
         for j in (1, d):
             report = bell_code_report(d, j)
             assert max(v.max_residual for v in report.verdicts) <= 1e-14
+
+    @pytest.mark.parametrize("d", range(11, 17))
+    def test_every_code_passes_at_the_tolerance_floor(self, d):
+        # in a block frame recovered by eigh, 26 of these 81 reports failed
+        # graph-contains-identity, with identity residuals up to 2.0e-14
+        tol = Tolerance(eq_tol=1e-14)
+        assert [j for j in range(1, d + 1) if not bell_code_report(d, j, tol).passed] == []
 
     def test_checks_leave_the_basis_in_the_frame(self):
         report = bell_code_report(5, 2)

@@ -12,12 +12,19 @@ from covgraph import (
     CircleRep,
     bell_rep,
     first_factor_projection,
+    is_operator_system,
     max_abs,
+    orbit_graph,
     sampled_orbit_graph,
     spectral_projections_unitary,
     two_block_rep,
 )
-from helpers import FREQS, P_PLUS_4, random_hermitian, random_projection, random_rep
+from covgraph.anticlique import _knill_laflamme
+from covgraph.graphs import _span_gap
+from covgraph.linalg import DEFAULT_TOL
+from helpers import (
+    FREQS, P_PLUS_4, haar_unitary, random_hermitian, random_projection, random_rep
+)
 
 
 @pytest.fixture
@@ -257,6 +264,35 @@ class TestBlockBasis:
         assert np.bincount(labels, minlength=len(rep.freqs)).tolist() == ranks.tolist()
         assert not labels.flags.writeable and not w.flags.writeable
         assert rep._block_basis is rep._block_basis  # one eigh per instance
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), freqs=FREQS, seed=st.integers(0, 2**32 - 1),
+           resolves_identity=st.booleans())
+    def test_given_frame_agrees_with_the_recovered_one(self, n, freqs, seed, resolves_identity):
+        rng = np.random.default_rng(seed)
+        k = len(freqs := freqs[:n])
+        ranks = 1 + np.bincount(rng.choice(k, size=n - k), minlength=k)
+        labels = rng.permutation(np.repeat(np.arange(k), ranks))  # blocks interleaved in W
+        w = haar_unitary(rng, n)
+        framed = CircleRep._from_frame(freqs, w, labels)
+        plain = CircleRep(freqs, [w[:, labels == j] @ w[:, labels == j].conj().T for j in range(k)])
+        assert max_abs(framed.projections - plain.projections) <= 1e-12
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m = a @ a.conj().T
+        if resolves_identity:  # pinch(M) = I: the graph holds I and every block is a code
+            vals, vecs = np.linalg.eigh(plain.pinch(m))
+            root = vecs / np.sqrt(vals) @ vecs.conj().T
+            m = root @ m @ root
+        graphs = [orbit_graph(rep, m) for rep in (framed, plain)]
+        assert graphs[0].span_dim == graphs[1].span_dim
+        assert _span_gap(*graphs) <= 1e-12
+        flags = [tuple(is_operator_system(g)[:2]) for g in graphs]  # (contains I, adjoint-closed)
+        assert flags[0] == flags[1]
+        for j in range(k):
+            got, want = (_knill_laflamme(rep._frame_rows(j), g, DEFAULT_TOL)
+                         for rep, g in zip((framed, plain), graphs))
+            assert (got.passed, got.code_dimension) == (want.passed, want.code_dimension)
+            assert max_abs(np.subtract(got.constants, want.constants)) <= 1e-12
 
     def test_isometry_of_a_group_spans_the_summed_projection(self):
         rep = bell_rep(3)

@@ -480,9 +480,11 @@ REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
     (["scan", "--grid", "0:1:0"], {}, "grid count must be >= 1"),
     (["scan", "--grid", "0:1:x"], {}, "malformed grid '0:1:x'"),
     (["scan", "--grid", "a,b"], {}, "malformed grid 'a,b'"),
+    # used to exit 2 with numpy's "expected non-negative integer"
+    (["scan", "--grid", "0.1", "--seed", "-1"], {}, "--seed must be non-negative, got -1"),
 ], ids=["matrix-not-object", "rep-not-object", "rows-0", "cols-0", "rep-without-freqs",
         "dim-disagrees", "seed-3x4", "unreadable-rep", "grid-two-fields",
-        "grid-count-0", "grid-count-not-int", "grid-not-floats"])
+        "grid-count-0", "grid-count-not-int", "grid-not-floats", "scan-seed-negative"])
 def test_input_rejections(argv, docs, message, instance_files, tmp_path, capsys):
     paths = {**instance_files, "tmp": str(tmp_path)}
     for name, doc in docs.items():
@@ -514,7 +516,8 @@ class TestTolerance:
         assert main(["bell", "--dim", "3", "--j", "1", "--tol", value]) == 2
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
-    # at 1e-15, bell --dim 6 --j 2 fails its own exact codes on rounding
+    # at 1e-15, bell --dim 8 --j 7 would fail its own exact graph on rounding
+    # (adjoint residual 1.6e-15)
     @pytest.mark.parametrize("value", ["1e-15", "1e-300"], ids=_flag_ids)
     def test_tolerance_below_rounding_exits_2(self, value, capsys):
         assert main(["bell", "--dim", "6", "--j", "2", "--tol", value]) == 2
@@ -523,11 +526,32 @@ class TestTolerance:
     def test_tolerance_at_the_floor_is_accepted(self):
         assert main(["bell", "--dim", "6", "--j", "2", "--tol", "1e-14"]) == 0
 
+    # with a block frame recovered by eigh, its identity residual was 1.2e-14
+    def test_large_bell_report_passes_at_the_floor(self):
+        assert main(["bell", "--dim", "12", "--j", "1", "--tol", "1e-14"]) == 0
+
     # the library and the CLI accept the same values; 5e-13 once passed only the CLI
     @pytest.mark.parametrize("value", ["1e-14", "5e-13", "1e-10", "1e-4"])
     def test_library_accepted_tolerance_passes(self, value, capsys):
         assert Tolerance(eq_tol=float(value)).eq_tol == float(value)
         assert main(["bell", "--dim", "3", "--j", "1", "--tol", value]) == 0
+
+
+# z1 + z4 - z2 overflowed in the corner: two numpy RuntimeWarnings, then
+# "input has non-finite entries" for a finite input
+def test_overflowing_phase_sum_exits_2_without_warnings():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "covgraph.cli", "demo4", "--tau", "0.3", "--z1", "1e308",
+         "--z4", "1e308"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "RuntimeWarning" not in proc.stderr
+    assert "z1 + z4 - z2 must be finite" in proc.stderr
 
 
 def test_console_entry_point_runs():

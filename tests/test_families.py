@@ -198,6 +198,20 @@ class TestFamilyGraphs:
 
 
 class TestFamilyReport:
+    def test_representation_is_built_on_the_standard_basis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the standard frame is given; no eigh recovers it")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rep = covgraph.families._family_rep.__wrapped__()
+        labels, w = rep._block_basis
+        assert labels.tolist() == [0, 0, 1, 1] and np.array_equal(w, np.eye(4))
+        assert np.array_equal(rep.projections, [P_PLUS_4, np.eye(4) - P_PLUS_4])
+
+    def test_phases_near_the_float_limit_are_accepted(self):
+        report = family_report(FamilyParams(0.3, z1=1e300, z4=1e300))
+        assert report.verdict_plus.passed and report.verdict_minus.passed
+
     @pytest.mark.parametrize(
         "params",
         [FamilyParams(0.0, 1.0, 0.3, 0.7), FamilyParams(0.5, 0.4, 0.0, 2.0),
@@ -440,8 +454,16 @@ UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
     (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.zeros(4)}),
      "target xx is the zero vector"),
     (lambda: FamilyParams(0.3, k=0.5), "k must be an integer, got 0.5"),
+    (lambda: FamilyParams(0.3, z1=math.nan),
+     "phases z1, z2, z4 and z1 + z4 - z2 must be finite, got z1=nan, z2=0.0, z4=0.0"),
+    (lambda: FamilyParams(0.3, z2=-math.inf),
+     "phases z1, z2, z4 and z1 + z4 - z2 must be finite, got z1=0.0, z2=-inf, z4=0.0"),
+    # each phase is finite; their sum in the corner's z3 is not
+    (lambda: FamilyParams(0.3, z1=1e308, z4=1e308),
+     "phases z1, z2, z4 and z1 + z4 - z2 must be finite, got z1=1e+308, z2=0.0, z4=1e+308"),
 ], ids=["3x3", "projection-without-half-blocks", "within-block-entry",
-        "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter", "target-length-3", "zero-target", "non-integer-k"])
+        "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter", "target-length-3", "zero-target",
+        "non-integer-k", "nan-phase", "infinite-phase", "phase-sum-overflows"])
 def test_input_rejections(call, message):
     if message is None:
         assert call() is None
