@@ -9,10 +9,12 @@ least-squares one, c_A = Tr(P A P) / Tr(P).
 The check runs in Knill-Laflamme form (Knill & Laflamme, PRA 55, 900,
 1997): with V (n x r) an isometry onto the range of P, P A P = c_A P
 exactly when V^dagger A V = c_A I_r.  That costs 2 n^2 r operations per
-basis element instead of the 2 n^3 of forming P A P, and the residual
-V (V^dagger A V - c_A I) V^dagger is the same matrix P A P - c_A P.
-``verify_anticlique`` gets V from one eigh of P; a sum of a representation's
-blocks is a set of rows of its block frame W, and V = W[:, rows].
+basis element instead of the 2 n^3 of forming P A P, and since
+P A P - c_A P = V (V^dagger A V - c_A I) V^dagger with V an isometry, the
+residual ||V^dagger A V - c_A I||_HS is ||P A P - c_A P||_HS without a
+return to the n x n basis.  ``verify_anticlique`` gets V from one eigh of P;
+a sum of a representation's blocks is a set of rows of its block frame W,
+and V = W[:, rows].
 
 Spectral candidates come from the frequency partition: each spectral
 projection of U_phi is a sum of rep projections, so no eigensolver runs.
@@ -41,13 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AnticliqueVerdict:
-    """Outcome of one compression check: constants, worst residual, pass flag."""
+    """Outcome of one compression check: constants, worst residual
+    max_j ||P B_j P - c_j P||_HS, pass flag, and a failed check's witness."""
 
     passed: bool
     constants: tuple[complex, ...]
     max_residual: float
     code_dimension: int
-    witness: tuple[int, int, int] | None  # (worst basis index, row, col) of the worst entry
+    witness: tuple[int, int, int] | None  # (worst j, row, col) of its largest entry
 
 
 @dataclass(frozen=True)
@@ -72,9 +75,10 @@ def verify_anticlique(
 ) -> AnticliqueVerdict:
     """Check P A P = c_A P over the graph basis.
 
-    Passes iff the worst residual is <= eq_tol and the code dimension
-    (rank of P) is at least 2.  Rank-1 projections are admitted but can
-    never pass; rank 0 and non-projections are rejected outright.
+    Passes iff the worst residual ||P B_j P - c_j P||_HS is <= eq_tol and
+    the code dimension (rank of P) is at least 2.  Rank-1 projections are
+    admitted but can never pass; rank 0 and non-projections are rejected
+    outright.
     """
     p = np.asarray(p, dtype=complex)
     if p.shape != (graph.dim, graph.dim):
@@ -94,30 +98,28 @@ def _knill_laflamme(code: np.ndarray, graph: OperatorGraph, tol: Tolerance) -> A
     blocks they are) or as an isometry V' (n x r) onto the range of P (V = W V').
 
     X_A = V^dagger A V for the whole frame basis in one product, c_A = tr X_A / r,
-    and the residual of A is max_abs(V (X_A - c_A I) V^dagger) = max_abs(P A P -
-    c_A P), 0 where X_A - c_A I is.  A failed check's witness is (j, row, col):
-    the last basis index attaining the maximum and the first entry, row-major,
-    of P B_j P - c_j P that does; None when every residual is exactly 0.
+    and the residual of A is ||X_A - c_A I||_HS = ||P A P - c_A P||_HS, read in
+    the frame.  A failed check's witness is (j, row, col): the last basis index
+    attaining the maximum and the first largest entry, row-major, of
+    P B_j P - c_j P, the one matrix transformed back; None when every residual
+    is exactly 0.
     """
     if code.ndim == 1:
-        rank, iso, x = len(code), graph._w[:, code], graph._frame_block(code)
+        rank, x = len(code), graph._frame_block(code)
     else:
-        rank, iso = code.shape[1], graph._w @ code
-        x = adjoint(code) @ graph._frame_basis @ code
-    diagonals = x.reshape(len(x), rank * rank)[:, :: rank + 1]  # a view: x is a fresh array
-    constants = diagonals.sum(axis=1) / rank
-    diagonals -= constants[:, None]
-    live = x.reshape(len(x), rank * rank).any(axis=1)
-    entries = np.abs(iso @ x[live] @ adjoint(iso))  # |P B_j P - c_j P| of the live j
-    residuals = np.zeros(len(x))
-    residuals[live] = entries.max(axis=(1, 2))
+        rank, x = code.shape[1], adjoint(code) @ graph._frame_basis @ code
+    flat = x.reshape(len(x), rank * rank)  # a view: x is a fresh array
+    constants = flat[:, :: rank + 1].sum(axis=1) / rank
+    flat[:, :: rank + 1] -= constants[:, None]
+    residuals = np.linalg.norm(flat, axis=1)
     worst = len(residuals) - 1 - int(np.argmax(residuals[::-1])) if len(residuals) else None
     max_residual = 0.0 if worst is None else float(residuals[worst])
     passed = max_residual <= tol.eq_tol and rank >= 2
     witness = None
-    if not passed and max_residual > 0.0:  # then the worst element is live
-        flat = int(np.argmax(entries[np.count_nonzero(live[:worst])]))  # row-major
-        witness = (worst, *divmod(flat, len(iso)))
+    if not passed and max_residual > 0.0:
+        iso = graph._w[:, code] if code.ndim == 1 else graph._w @ code
+        flat_index = int(np.argmax(np.abs(iso @ x[worst] @ adjoint(iso))))  # row-major
+        witness = (worst, *divmod(flat_index, len(iso)))
     return AnticliqueVerdict(
         passed=passed,
         constants=tuple(constants.tolist()),

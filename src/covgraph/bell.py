@@ -31,26 +31,30 @@ __all__ = [
 ]
 
 
-def _bell_vectors(d: int) -> np.ndarray:
-    """All d*d generalized Bell vectors as a (d, d, d*d) array indexed [s-1, n-1]."""
+def _require_dimension(d: int) -> None:
     if d < 2:
         raise ValueError("dimension d must be at least 2")
+
+
+def _bell_vectors(d: int, s, n) -> np.ndarray:
+    """The Bell vectors psi_{s,n} for arrays of 1-based indices s and n,
+    broadcast together, as an array of shape (*broadcast shape, d*d)."""
+    s, n = (a[..., None] for a in np.broadcast_arrays(s, n))
     k0 = np.arange(d)  # k - 1
-    n = np.arange(1, d + 1)[:, None]
-    support = d * k0 + (k0 - n) % d  # [n-1, k-1]: index of |k>|k - n mod d>
-    phases = np.exp(1j * (2 * np.pi * n * (k0 + 1) / d)) / np.sqrt(d)  # [s-1, k-1]
-    vecs = np.zeros((d, d, d * d), dtype=complex)
-    vecs[:, n - 1, support] = phases[:, None, :]
+    support = d * k0 + (k0 - n) % d  # index of |k>|k - n mod d>
+    phases = np.exp(1j * (2 * np.pi * s * (k0 + 1) / d)) / np.sqrt(d)
+    vecs = np.zeros((*support.shape[:-1], d * d), dtype=complex)
+    np.put_along_axis(vecs, support, phases, axis=-1)
     return vecs
 
 
 def bell_state(d: int, s: int, n: int) -> np.ndarray:
     """The generalized Bell vector psi_{s,n} in C^(d*d); the d*d of them are
     pairwise orthonormal."""
-    vecs = _bell_vectors(d)
+    _require_dimension(d)
     if not (1 <= s <= d and 1 <= n <= d):
         raise ValueError(f"indices s, n must lie in 1..{d}")
-    return vecs[s - 1, n - 1]
+    return _bell_vectors(d, s, n)
 
 
 @functools.lru_cache(maxsize=8)
@@ -59,14 +63,16 @@ def bell_rep(d: int) -> CircleRep:
     Bell vectors psi_{s,1..d}.  Its block frame is the Bell vectors
     themselves, so no eigh recovers one.  Cached per d and read-only, so a
     repeated report does not rebuild the (d, n, n) projection stack."""
-    frame = _bell_vectors(d).reshape(d * d, d * d).T  # column d(s-1)+(n-1) is psi_{s,n}
+    _require_dimension(d)
+    index = np.arange(1, d + 1)
+    # column d(s-1)+(n-1) is psi_{s,n}
+    frame = _bell_vectors(d, index[:, None], index).reshape(d * d, d * d).T
     return CircleRep._from_frame(tuple(range(1, d + 1)), frame, np.repeat(np.arange(d), d))
 
 
 def first_factor_projection(d: int, j: int) -> np.ndarray:
     """Rank-d projection onto |j> (x) C^d, the Kronecker product E_jj (x) I_d."""
-    if d < 2:
-        raise ValueError("dimension d must be at least 2")
+    _require_dimension(d)
     if not 1 <= j <= d:
         raise ValueError(f"index j must lie in 1..{d}")
     return np.kron(np.diag(np.arange(1, d + 1) == j), np.eye(d, dtype=complex))

@@ -26,7 +26,6 @@ from .linalg import (
     adjoint,
     eig_hermitian,
     gram_schmidt_operators,
-    hs_inner,
     max_abs,
 )
 
@@ -92,19 +91,15 @@ class OperatorGraph:
         block = rows[:, None], rows
         return _unpack(self._f[block], self._slot[block], self.span_dim)
 
-    def _project_frame(self, a: np.ndarray) -> np.ndarray:
-        """HS-orthogonal projection onto the span, of matrices given in the frame."""
-        flat = self._frame_basis.reshape(self.span_dim, self.dim * self.dim)
-        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat.T).conj()  # <b'_j, a>
-        return (coeffs @ flat).reshape(a.shape)
-
     def project(self, a: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection onto the span of one matrix or a stack of
         them, as sum_j <b_j, a> b_j: exact only for an HS-orthonormal basis."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrices, got {a.shape}")
-        return _from_frame(self._w, self._project_frame(adjoint(self._w) @ a @ self._w))
+        flat = self.basis.reshape(self.span_dim, self.dim * self.dim)
+        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat.T).conj()  # <b_j, a>
+        return (coeffs @ flat).reshape(a.shape)
 
 
 def _unpack(f: np.ndarray, slot: np.ndarray, k: int) -> np.ndarray:
@@ -122,20 +117,28 @@ class OperatorSystemCheck(NamedTuple):
     adjoint_residual: float
 
 
+def _binade(a: np.ndarray) -> float:
+    """The power of two at or below the largest real or imaginary part of the
+    complex matrix a (finite, unlike a modulus): dividing by it is exact and
+    leaves every part below 2."""
+    return math.ldexp(1.0, math.frexp(max(max_abs(a.real), max_abs(a.imag)))[1] - 1)
+
+
 def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
     """(ms, F, slot, norms) for the components A_m with ||A_m||_HS >
     eq_tol * ||seed||_HS, sorted by m: slot[a, b] is the index in ms of
     s_a - s_b (-1 if dropped), F is M' = W^dagger M W divided on each entry by
-    the HS norm of its component (0 if dropped), and A_m is W A'_m W^dagger
-    with A'_m = norms[j] F on the entries of slot j.  Needs a valid
-    representation."""
+    the HS norm of its component (0 if dropped), and A_m is
+    _binade(seed) W A'_m W^dagger with A'_m = norms[j] F on the entries of
+    slot j: the seed is divided by its binade first, so no norm overflows.
+    Needs a valid representation."""
     seed = rep._operator(seed)
     _require_finite(seed)  # a NaN cut would drop every component
     labels, w = rep._block_basis
     freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
     ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
     pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
-    frame = adjoint(w) @ seed @ w
+    frame = adjoint(w) @ (seed / _binade(seed)) @ w
     scale = max_abs(frame) or 1.0  # so that no square overflows or underflows
     squares = np.bincount(pair.ravel(), np.abs(frame.ravel() / scale) ** 2, len(ms))
     kept = squares > tol.eq_tol**2 * squares.sum()
@@ -149,23 +152,31 @@ def frequency_components(
     rep: CircleRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[FrequencyComponent]:
     """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, with
-    ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid."""
+    ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid.
+    Raises ValueError if a component has an entry too large for a float."""
     ms, f, slot, norms = _frame_span(rep, seed, tol)
     comps = _from_frame(rep._block_basis[1], _unpack(f, slot, len(ms)) * norms[:, None, None])
-    return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps)]
+    scale = _binade(rep._operator(seed))
+    if max_abs(comps) * scale == math.inf:
+        raise ValueError("a frequency component has an entry too large for a float")
+    return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps * scale)]
 
 
 def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
-    cut = tol.eq_tol * max_abs(seed)  # relative, so the verdict ignores the seed's scale
-    if max_abs(seed - adjoint(seed)) > cut:
+    """Raise ValueError unless the seed is Hermitian within eq_tol * max_abs(seed)
+    and its smallest eigenvalue is >= -eq_tol * (its spectral norm), on the
+    seed divided by its binade, so the verdict ignores the seed's scale."""
+    scale = _binade(seed)
+    seed = seed / scale
+    if max_abs(seed - adjoint(seed)) > tol.eq_tol * max_abs(seed):
         raise ValueError(
             "seed is not positive semidefinite (not Hermitian); "
             "pass allow_nonpositive=True to explore anyway"
         )
     eigvals, _ = eig_hermitian(seed, tol)  # diagonalizes the Hermitian part
-    if eigvals[0] < -cut:
+    if eigvals[0] < -tol.eq_tol * max(-eigvals[0], eigvals[-1]):
         raise ValueError(
-            f"seed is not positive semidefinite (min eigenvalue {eigvals[0]:.3g}); "
+            f"seed is not positive semidefinite (min eigenvalue {eigvals[0] * scale:.3g}); "
             "pass allow_nonpositive=True to explore anyway"
         )
 
@@ -196,7 +207,9 @@ def sampled_orbit_graph(
     Matches orbit_graph once n_samples exceeds every nonzero frequency
     difference; kept as a quadrature-based cross-check of the analytic route.
     """
-    basis, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
+    seed = rep._operator(seed)
+    # the span ignores the seed's scale; dividing by its binade keeps the conjugates finite
+    basis, _ = gram_schmidt_operators(rep._conjugates(seed / _binade(seed), n_samples), tol)
     return OperatorGraph(dim=rep.dim, basis=basis)
 
 
@@ -259,18 +272,17 @@ def is_operator_system(
     Gram products of its stack; that basis must be HS-orthonormal within
     eq_tol, else ValueError names the Gram residual."""
     if graph._f is None:
-        flat = graph._frame_basis.reshape(graph.span_dim, graph.dim * graph.dim)
+        flat = graph.basis.reshape(graph.span_dim, graph.dim * graph.dim)
         gram_res = max_abs(flat.conj() @ flat.T - np.eye(graph.span_dim))
         if gram_res > tol.eq_tol:
             raise ValueError(f"graph basis is not HS-orthonormal (Gram residual {gram_res:.3g})")
         eye = np.eye(graph.dim, dtype=complex)
-        id_res = eye - graph._project_frame(eye)
-        adj = np.conj(graph._frame_basis.transpose(0, 2, 1))
-        adj -= graph._project_frame(adj)
-        adj_res = float(np.linalg.norm(adj, axis=(1, 2)).max(initial=0.0))
+        id_res = max_abs(eye - graph.project(eye))
+        adj = np.conj(graph.basis.transpose(0, 2, 1))
+        adj_res = float(np.linalg.norm(adj - graph.project(adj), axis=(1, 2)).max(initial=0.0))
     else:
-        id_res, adj_res = _compact_residuals(graph)
-    id_res = max_abs(_from_frame(graph._w, id_res))
+        frame_res, adj_res = _compact_residuals(graph)
+        id_res = max_abs(_from_frame(graph._w, frame_res))
     return OperatorSystemCheck(
         contains_identity=id_res <= tol.eq_tol,
         adjoint_closed=adj_res <= tol.eq_tol,
@@ -290,21 +302,24 @@ def adjoint_closure_scalar(
     squares and returned only when the fit residual is <= eq_tol * ||G||.
     Note the returned scalar certifies adjoint closure of the span only when
     F and G are both nonzero or both zero.
+
+    Read in the block frame, where HS products and the adjoint are unchanged,
+    from the unit-norm F^ and G^: h = <F^^dagger, G^> ||G|| / ||F||.
     """
     if sorted(rep.freqs) != [-1, 1]:
         raise ValueError("adjoint_closure_scalar requires a two-block representation")
-    seed = np.divide(seed, max_abs(seed) or 1.0)  # so that |F|^2 neither underflows nor overflows
-    # F or G is zero when frequency_components drops it, a cut relative to the seed
-    comps = {c.freq: c.operator for c in frequency_components(rep, seed, tol)}
-    if 2 not in comps:
-        return 0.0 if -2 not in comps else None
-    f_star = adjoint(comps[2])
-    g = comps.get(-2, np.zeros_like(f_star))
-    h = hs_inner(f_star, g) / hs_inner(f_star, f_star).real
-    residual = np.linalg.norm(g - h * f_star)
-    if residual <= tol.eq_tol * np.linalg.norm(g):
-        return h
-    return None
+    ms, f, slot, norms = _frame_span(rep, seed, tol)
+    # F or G is zero when _frame_span drops it, a cut relative to the seed
+    index = {m: j for j, m in enumerate(ms.tolist())}
+    if 2 not in index:
+        return 0.0 if -2 not in index else None
+    f_star = np.where(slot == index[2], f, 0.0).T.conj()
+    g = np.where(slot == index.get(-2, -1), f, 0.0)  # F is 0 where slot is -1
+    c = np.vdot(f_star, g)
+    if np.linalg.norm(g - c * f_star) > tol.eq_tol:
+        return None
+    ratio = norms[index[-2]] / norms[index[2]] if -2 in index else 0.0  # ||G||_HS / ||F||_HS
+    return complex(c * ratio)
 
 
 def two_block_maximal_graph(

@@ -138,7 +138,8 @@ def eig_hermitian(
     a @ V ~ V @ diag(eigenvalues).  Raises ValueError on non-square,
     non-finite or non-Hermitian input, the last when max_abs(A - A^dagger)
     exceeds eq_tol * max_abs(A), so scaling A does not change the decision;
-    the Hermitian part (A + A^dagger)/2 is what gets diagonalized.
+    the Hermitian part A/2 + A^dagger/2 is what gets diagonalized (formed so
+    that it cannot overflow).
     """
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -146,7 +147,7 @@ def eig_hermitian(
     _require_finite(a)
     if max_abs(a - adjoint(a)) > tol.eq_tol * max_abs(a):
         raise ValueError("matrix is not Hermitian within eq_tol")
-    eigvals, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    eigvals, v = np.linalg.eigh(a / 2.0 + adjoint(a) / 2.0)
     return eigvals, v
 
 

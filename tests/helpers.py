@@ -7,7 +7,15 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from covgraph import CircleRep, OperatorGraph, gram_schmidt_operators, max_abs
+from covgraph import (
+    CircleRep,
+    OperatorGraph,
+    adjoint,
+    frequency_components,
+    gram_schmidt_operators,
+    hs_inner,
+    max_abs,
+)
 from covgraph.linalg import DEFAULT_TOL
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,6 +103,23 @@ def operator_system_reference(graph: OperatorGraph) -> tuple[float, float]:
     identity = max_abs(residual(np.eye(n).reshape(n * n)))
     adjoints = graph.basis.conj().transpose(0, 2, 1).reshape(k, n * n).T
     return identity, max((float(np.linalg.norm(r)) for r in residual(adjoints).T), default=0.0)
+
+
+def adjoint_closure_reference(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL):
+    """adjoint_closure_scalar from the components F (m = +2) and G (m = -2) in
+    the original basis: h = <F^dagger, G> / <F^dagger, F^dagger>, returned when
+    ||G - h F^dagger||_HS <= eq_tol ||G||_HS; 0.0 when both are dropped and
+    None when only F is."""
+    seed = np.divide(seed, max_abs(seed) or 1.0)  # so that |F|^2 neither underflows nor overflows
+    comps = {c.freq: c.operator for c in frequency_components(rep, seed, tol)}
+    if 2 not in comps:
+        return 0.0 if -2 not in comps else None
+    f_star = adjoint(comps[2])
+    g = comps.get(-2, np.zeros_like(f_star))
+    h = hs_inner(f_star, g) / hs_inner(f_star, f_star).real
+    if np.linalg.norm(g - h * f_star) <= tol.eq_tol * np.linalg.norm(g):
+        return h
+    return None
 
 
 def random_offblock(rng: np.random.Generator) -> np.ndarray:

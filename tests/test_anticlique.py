@@ -14,6 +14,7 @@ from covgraph import (
     AnticliqueVerdict,
     CircleRep,
     OperatorGraph,
+    adjoint,
     anticliques_from_spectrum,
     bell_rep,
     first_factor_projection,
@@ -121,13 +122,17 @@ class TestVerifyAnticlique:
         for a in graph.basis:
             pap = skew @ a @ skew
             residual_matrices.append(np.abs(pap - (np.trace(pap) / 2) * skew))
-        residuals = [r.max() for r in residual_matrices]
-        # ties go to the last index attaining the maximum, then to the first
-        # entry of its residual matrix in row-major order
-        worst = max(i for i, r in enumerate(residuals) if r == max(residuals))
-        row, col = np.unravel_index(np.argmax(residual_matrices[worst]), (4, 4))
-        assert verdict.witness == (worst, row, col)
+        residuals = [np.linalg.norm(r) for r in residual_matrices]
+        # the worst index attains the maximum HS residual: the components at
+        # m = -2 and +2 of a Hermitian seed are adjoints, so they tie up to
+        # rounding; then the first largest entry of its matrix, row-major
+        worst, row, col = verdict.witness
+        assert residuals[worst] >= max(residuals) - 1e-12
+        assert (row, col) == np.unravel_index(np.argmax(residual_matrices[worst]), (4, 4))
         assert all(type(i) is int for i in verdict.witness)
+        # an exact tie goes to the last index
+        doubled = OperatorGraph(dim=4, basis=graph.basis[[worst, worst]])
+        assert verify_anticlique(skew, doubled).witness == (1, row, col)
 
     def test_scale_invariance(self, block_rep):
         rng = np.random.default_rng(3)
@@ -156,7 +161,7 @@ class TestVerifyAnticlique:
         p = random_projection(rng, 4, 2)
         verdict = verify_anticlique(p, graph)
         recomputed = max(
-            max_abs(p @ a @ p - c * p) for a, c in zip(graph.basis, verdict.constants)
+            np.linalg.norm(p @ a @ p - c * p) for a, c in zip(graph.basis, verdict.constants)
         )
         assert recomputed == pytest.approx(verdict.max_residual, abs=1e-14)
 
@@ -220,12 +225,12 @@ class TestConjugationInvariance:
 
 def compression_reference(p, graph, tol=DEFAULT_TOL):
     """The check formed directly as R_A = P A P - c_A P:
-    (passed, rank, constants, residual of each basis element, the R_A)."""
+    (passed, rank, constants, ||R_A||_HS of each basis element, the R_A)."""
     rank = int(round(np.trace(p).real))
     pap = p @ graph.basis @ p
     constants = np.trace(pap, axis1=1, axis2=2) / rank
     matrices = pap - constants[:, None, None] * p
-    residuals = np.abs(matrices).max(axis=(1, 2))
+    residuals = np.linalg.norm(matrices, axis=(1, 2))
     passed = residuals.max() <= tol.eq_tol and rank >= 2
     return passed, rank, constants, residuals, matrices
 
@@ -235,18 +240,20 @@ def assert_agrees(verdict, reference, scale):
     assert (verdict.passed, verdict.code_dimension) == (passed, rank)
     assert max_abs(np.subtract(verdict.constants, constants)) <= 1e-12 * scale
     assert abs(verdict.max_residual - residuals.max()) <= 1e-12 * scale
+    # ||R||_HS >= max|R_ij|: never looser than the entrywise residual
+    assert verdict.max_residual >= max_abs(matrices) - 1e-12 * scale
     # the witness is the last maximal index; residuals that tie exactly (a
     # component and its adjoint under P = I) are maximal up to rounding, and
     # at rounding level (a rank-1 candidate) every index is
     if residuals.max() > 1e-9 * scale:
         tied = np.flatnonzero(residuals >= residuals.max() - 1e-12 * scale)
         assert verdict.witness[0] in tied
-    # a failed check names an entry attaining the maximum; an exact 0 has none
+    # a failed check names the largest entry of its worst matrix; an exact 0 has none
     if verdict.passed or verdict.max_residual == 0.0:
         assert verdict.witness is None
     else:
         j, row, col = verdict.witness
-        assert abs(abs(matrices[j][row, col]) - residuals.max()) <= 1e-12 * scale
+        assert abs(abs(matrices[j][row, col]) - max_abs(matrices[j])) <= 1e-12 * scale
 
 
 def block_code_graph(rng, rep):
@@ -315,6 +322,11 @@ class TestFrameAgainstPlain:
 
         a = rng.normal(size=(3, n, n)) + 1j * rng.normal(size=(3, n, n))
         assert max_abs(graph.project(a) - plain.project(a)) <= 1e-12 * max_abs(a)
+        # and against the projection taken in the frame, W Pi'(W^dagger a W) W^dagger
+        w, flat = graph._w, graph._frame_basis.reshape(graph.span_dim, n * n)
+        moved = (adjoint(w) @ a @ w).reshape(3, n * n)
+        in_frame = ((moved.conj() @ flat.T).conj() @ flat).reshape(3, n, n)
+        assert max_abs(graph.project(a) - w @ in_frame @ adjoint(w)) <= 1e-12 * max_abs(a)
         framed_system, plain_system = is_operator_system(graph), is_operator_system(plain)
         assert framed_system[:2] == plain_system[:2]
         assert max_abs(np.subtract(framed_system[2:], plain_system[2:])) <= 1e-12 * scale

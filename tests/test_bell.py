@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import covgraph.bell
 from covgraph import (
     Tolerance,
     bell_code_report,
@@ -48,13 +49,16 @@ class TestBellStates:
         assert np.allclose(coeffs, [1.0 / math.sqrt(d)] * d, atol=1e-10)
         assert entropy == pytest.approx(math.log2(d), abs=1e-10)
 
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError):
+    def test_rejects_bad_indices(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a bad index is rejected before any vector is built")
+
+        monkeypatch.setattr(covgraph.bell, "_bell_vectors", refuse)
+        with pytest.raises(ValueError, match="dimension d must be at least 2"):
             bell_state(1, 1, 1)
-        with pytest.raises(ValueError):
-            bell_state(3, 0, 1)
-        with pytest.raises(ValueError):
-            bell_state(3, 1, 4)
+        for d, s, n in ((3, 0, 1), (3, 1, 4), (48, 49, 1)):
+            with pytest.raises(ValueError, match=f"indices s, n must lie in 1..{d}"):
+                bell_state(d, s, n)
 
 
 class TestBellRep:
@@ -83,12 +87,12 @@ class TestBellRep:
             raise AssertionError("the Bell frame is given; no eigh recovers it")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        d = 4
-        labels, w = bell_rep.__wrapped__(d)._block_basis  # a fresh rep, not the cached one
-        assert labels.tolist() == [s - 1 for s in range(1, d + 1) for _ in range(d)]
-        for s in range(1, d + 1):
-            for n in range(1, d + 1):
-                assert np.array_equal(w[:, d * (s - 1) + (n - 1)], bell_state(d, s, n))
+        for d in (2, 3, 4, 5):
+            labels, w = bell_rep.__wrapped__(d)._block_basis  # a fresh rep, not the cached one
+            assert labels.tolist() == [s - 1 for s in range(1, d + 1) for _ in range(d)]
+            for s in range(1, d + 1):
+                for n in range(1, d + 1):
+                    assert np.array_equal(w[:, d * (s - 1) + (n - 1)], bell_state(d, s, n))
 
     def test_d5_pinch_preserves_trace(self):
         rng = np.random.default_rng(0)

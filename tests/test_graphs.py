@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
     FamilyParams,
     OperatorGraph,
+    Tolerance,
     adjoint,
     adjoint_closure_scalar,
     bell_rep,
@@ -33,6 +34,7 @@ from helpers import (
     FREQS,
     P_PLUS_4,
     SIGMA_X,
+    adjoint_closure_reference,
     operator_system_reference,
     pair_loop_graph,
     random_hermitian,
@@ -192,6 +194,16 @@ class TestOrbitGraph:
         graph = orbit_graph(block_rep, -np.eye(4), allow_nonpositive=True)
         assert graph.span_dim == 1
 
+    @pytest.mark.parametrize("d", [6, 8])
+    def test_psd_cut_is_relative_to_the_spectral_norm(self, d):
+        # J/n has norm 1 but largest entry 1/n: a cut at 1e-14 times the largest
+        # entry rejected it for a rounding-level eigenvalue near -7e-16
+        n, tol = d * d, Tolerance(eq_tol=1e-14)
+        flat = np.ones((n, n)) / n
+        assert orbit_graph(bell_rep(d), flat, tol).span_dim >= 1
+        with pytest.raises(ValueError, match="min eigenvalue -1e-12"):
+            orbit_graph(bell_rep(d), flat - 1e-12 * np.eye(n), tol)
+
     def test_basis_is_orthonormal(self, block_rep):
         rng = np.random.default_rng(5)
         graph = orbit_graph(block_rep, two_block_seed(rng))
@@ -337,15 +349,20 @@ class TestSpanGap:
 
 
 class TestScaleInvariance:
-    # a family projection (codes pass) or a random PSD seed (codes fail)
+    # a family projection (codes pass) or a random PSD seed (codes fail), with
+    # largest entry 1, scaled by up to the largest float
     @settings(max_examples=60, deadline=None)
     @given(
         family=st.booleans(),
         tau=st.floats(0.0, 0.5),
-        exponent=st.floats(-300.0, 300.0),
+        scale=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_span_and_verdicts_ignore_seed_scale(self, family, tau, exponent, seed):
+    @example(family=True, tau=0.2, scale=1e308, seed=0)
+    @example(family=False, tau=0.0, scale=1e308, seed=0)
+    @example(family=True, tau=0.2, scale=float(np.finfo(float).max), seed=1)
+    @example(family=False, tau=0.0, scale=float(np.finfo(float).max), seed=1)
+    def test_span_and_verdicts_ignore_seed_scale(self, family, tau, scale, seed):
         rng = np.random.default_rng(seed)
         rep = two_block_rep(P_PLUS_4)
         if family:
@@ -355,7 +372,7 @@ class TestScaleInvariance:
             a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m0 = a @ adjoint(a)
             m0 = (m0 + adjoint(m0)) / 2.0
-        scale = 10.0**exponent
+        m0 = m0 / max_abs(m0)
         for build in (lambda m: orbit_graph(rep, m), lambda m: sampled_orbit_graph(rep, m, 5)):
             base, scaled = build(m0), build(scale * m0)
             assert scaled.span_dim == base.span_dim
@@ -450,12 +467,13 @@ class TestAdjointClosureScalar:
         h = adjoint_closure_scalar(block_rep, seed)
         assert h == pytest.approx(target, abs=1e-9)
 
-    # the zero tests follow frequency_components, so they move with the seed
-    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e6, 1e-300, 1e300])
+    # the zero tests follow the components' cut, so they move with the seed
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-11, 1e6, 1e-300, 1e300, 1e308,
+                                       float(np.finfo(float).max)])
     def test_scalar_ignores_seed_scale(self, block_rep, scale):
         f = np.zeros((4, 4), dtype=complex)
         f[0, 2], f[1, 3] = 1.0, 0.5j
-        seed = scale * (np.eye(4) + f + 2.0j * adjoint(f))
+        seed = scale * ((np.eye(4) + f + 2.0j * adjoint(f)) / 2.0)  # largest entry 1
         assert adjoint_closure_scalar(block_rep, seed) == pytest.approx(2.0j, abs=1e-12)
         assert orbit_graph(block_rep, seed, allow_nonpositive=True).span_dim == 3
 
@@ -473,6 +491,37 @@ class TestAdjointClosureScalar:
 
     def test_zero_corners(self, block_rep):
         assert adjoint_closure_scalar(block_rep, np.eye(4)) == 0.0
+
+    # F = P+ X P-, and G = h F^dagger, a generic P- Y P+ or 0; or F = 0
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        kind=st.sampled_from(["scalar", "generic", "no-g", "no-f", "none"]),
+        exponent=st.floats(-300.0, 300.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_components_route(self, n, kind, exponent, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, (1, -1))
+        plus, minus = rep.projections  # at frequencies 1 and -1
+
+        def corner(left, right):
+            return left @ (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) @ right
+
+        f = np.zeros((n, n)) if kind in ("no-f", "none") else corner(plus, minus)
+        h = complex(*rng.normal(size=2))
+        g = {"scalar": h * adjoint(f), "generic": corner(minus, plus),
+             "no-g": np.zeros((n, n)), "no-f": corner(minus, plus), "none": np.zeros((n, n))}[kind]
+        m0 = np.eye(n) + f + g
+        m0 = 10.0**exponent * (m0 / max_abs(m0))
+        got, want = adjoint_closure_scalar(rep, m0), adjoint_closure_reference(rep, m0)
+        if want is None or want == 0.0:
+            assert got == want and type(got) is type(want)
+        else:
+            assert type(got) is complex
+            assert abs(got - want) <= 1e-12 * abs(want)
+        if kind == "scalar":
+            assert abs(got - h) <= 1e-9 * abs(h)
 
     def test_zero_f_nonzero_g(self, block_rep):
         g = np.zeros((4, 4), dtype=complex)
@@ -535,7 +584,11 @@ class TestMaximalGraph:
     (np.ones(4), "expected a 4x4 matrix, got (4,)"),
     (np.eye(3), "expected a 4x4 matrix, got (3, 3)"),
     (-np.eye(3), "expected a 4x4 matrix, got (3, 3)"),
-], ids=["non-hermitian-seed", "seed-3x4", "seed-1-d", "seed-3x3", "non-psd-seed-3x3"])
+    # (A + A^dagger) / 2 overflowed to NaN there, and NaN passed the PSD check
+    (-1e308 * P_PLUS_4, "seed is not positive semidefinite (min eigenvalue -1e+308); "
+                        "pass allow_nonpositive=True to explore anyway"),
+], ids=["non-hermitian-seed", "seed-3x4", "seed-1-d", "seed-3x3", "non-psd-seed-3x3",
+        "seed-minus-1e308"])
 def test_input_rejections(block_rep, seed, message):
     with pytest.raises(ValueError) as raised:
         orbit_graph(block_rep, seed)
