@@ -16,7 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, _as_integer, adjoint, is_projection, max_abs
+from .linalg import (
+    DEFAULT_TOL, Tolerance, _as_integer, _projection_residuals, _worst, adjoint, is_projection
+)
 
 __all__ = ["CircleRep", "RepViolation", "two_block_rep"]
 
@@ -101,23 +103,24 @@ class CircleRep:
         """The block-frame rows (columns of W) that the P_j over the block indices given occupy."""
         return np.flatnonzero(np.isin(self._block_basis[0], blocks))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> list[RepViolation]:
-        """Check projection/orthogonality/completeness invariants; empty list iff valid."""
+        """Check projection/orthogonality/completeness invariants; empty list iff
+        valid.  A residual that overflows is inf, not a numpy warning."""
         p = self.projections
         # [hermiticity, idempotence] residual of each projection, reported row by row
-        own = np.stack([np.abs(p - p.conj().transpose(0, 2, 1)).max(axis=(1, 2)),
-                        np.abs(p @ p - p).max(axis=(1, 2))], axis=1)
+        own = np.stack(_projection_residuals(p), axis=1)
         violations = [
             RepViolation(("hermiticity", "idempotence")[i], f"projection {j}", float(own[j, i]))
             for j, i in np.argwhere(own > tol.eq_tol)
         ]
         for j in range(len(p) - 1):  # P_j against every later P_k, one row at a time
-            orth = np.abs(p[j] @ p[j + 1 :]).max(axis=(1, 2))
+            orth = _worst(p[j] @ p[j + 1 :])
             violations += [
                 RepViolation("orthogonality", f"projections {j},{j + 1 + k}", float(orth[k]))
                 for k in np.flatnonzero(orth > tol.eq_tol)
             ]
-        r = max_abs(p.sum(axis=0) - np.eye(self.dim))
+        r = float(_worst(p.sum(axis=0) - np.eye(self.dim)))
         if r > tol.eq_tol:
             violations.append(RepViolation("completeness", "sum of projections", r))
         return violations

@@ -20,13 +20,8 @@ import numpy as np
 
 from .circle import CircleRep, _from_frame, two_block_rep
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    _require_finite,
-    adjoint,
-    eig_hermitian,
-    gram_schmidt_operators,
-    max_abs,
+    DEFAULT_TOL, Tolerance, _projection_residuals, _require_finite, adjoint, eig_hermitian,
+    gram_schmidt_operators, max_abs,
 )
 
 __all__ = [
@@ -130,8 +125,9 @@ def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
     s_a - s_b (-1 if dropped), F is M' = W^dagger M W divided on each entry by
     the HS norm of its component (0 if dropped), and A_m is
     _binade(seed) W A'_m W^dagger with A'_m = norms[j] F on the entries of
-    slot j: the seed is divided by its binade first, so no norm overflows.
-    Needs a valid representation."""
+    slot j.  The seed is divided by its binade first, so ||M'||_HS >= 1: no
+    square overflows, and one that underflows is far below the cut.  Needs a
+    valid representation."""
     seed = rep._operator(seed)
     _require_finite(seed)  # a NaN cut would drop every component
     labels, w = rep._block_basis
@@ -139,10 +135,9 @@ def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
     ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
     pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
     frame = adjoint(w) @ (seed / _binade(seed)) @ w
-    scale = max_abs(frame) or 1.0  # so that no square overflows or underflows
-    squares = np.bincount(pair.ravel(), np.abs(frame.ravel() / scale) ** 2, len(ms))
+    squares = np.bincount(pair.ravel(), np.abs(frame.ravel()) ** 2, len(ms))
     kept = squares > tol.eq_tol**2 * squares.sum()
-    norms = scale * np.sqrt(squares)
+    norms = np.sqrt(squares)
     f = np.divide(frame, norms[pair], out=np.zeros_like(frame), where=kept[pair])
     slot = np.where(kept, np.cumsum(kept) - 1, -1)[pair]
     return ms[kept], f, slot, norms[kept]
@@ -168,7 +163,7 @@ def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
     seed divided by its binade, so the verdict ignores the seed's scale."""
     scale = _binade(seed)
     seed = seed / scale
-    if max_abs(seed - adjoint(seed)) > tol.eq_tol * max_abs(seed):
+    if _projection_residuals(seed, idempotence=False)[0] > tol.eq_tol * max_abs(seed):
         raise ValueError(
             "seed is not positive semidefinite (not Hermitian); "
             "pass allow_nonpositive=True to explore anyway"
@@ -228,15 +223,13 @@ def _span_gap(a: OperatorGraph, b: OperatorGraph) -> float:
     """Gap ||span_projector(a) - span_projector(b)||_2 without either projector.
 
     For orthonormal flattened bases it is the larger of ||(I - P_a) B_b||_2
-    and ||(I - P_b) B_a||_2 (Kato 1966), two n^2-by-k matrices.  The same
-    angles read as sqrt(1 - sigma_min^2) of B_a^dagger B_b would lose ~1e-8
-    to cancellation on spans that agree.
+    and ||(I - P_b) B_a||_2 (Kato 1966): equal for spans of one dimension, and
+    1 for B from the larger span otherwise, so only that n^2-by-k one is formed.
+    Read as sqrt(1 - sigma_min^2) of B_a^dagger B_b, the same angles would lose
+    ~1e-8 to cancellation on spans that agree.
     """
-    flat_a, flat_b = _flat_basis(a), _flat_basis(b)
-    return max(
-        float(np.linalg.norm(y - x @ (adjoint(x) @ y), 2)) if y.shape[1] else 0.0
-        for x, y in ((flat_a, flat_b), (flat_b, flat_a))
-    )
+    x, y = sorted((_flat_basis(a), _flat_basis(b)), key=lambda flat: flat.shape[1])
+    return float(np.linalg.norm(y - x @ (adjoint(x) @ y), 2)) if y.shape[1] else 0.0
 
 
 def _compact_residuals(graph: OperatorGraph) -> tuple[np.ndarray, float]:

@@ -74,7 +74,21 @@ def is_projection(p: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
     p = _as_complex(p)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         return False
-    return max_abs(p - adjoint(p)) <= tol.eq_tol and max_abs(p @ p - p) <= tol.eq_tol
+    return all(r <= tol.eq_tol for r in _projection_residuals(p))
+
+
+def _worst(r: np.ndarray) -> np.ndarray:
+    """Largest |entry| of each matrix; inf where overflow left inf or NaN (warnings off)."""
+    worst = np.abs(r).max(axis=(-2, -1), initial=0.0)
+    return np.where(np.isnan(worst), np.inf, worst)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _projection_residuals(p: np.ndarray, idempotence: bool = True) -> tuple:
+    """(max|P - P^dagger|, max|P P - P|) of a matrix or of each of a stack (only the
+    first without ``idempotence``); one that overflows is inf, not a numpy warning."""
+    hermitian = _worst(p - p.conj().swapaxes(-1, -2))
+    return (hermitian, _worst(p @ p - p)) if idempotence else (hermitian,)
 
 
 def gram_schmidt_operators(
@@ -136,8 +150,8 @@ def eig_hermitian(
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
     a @ V ~ V @ diag(eigenvalues).  Raises ValueError on non-square,
-    non-finite or non-Hermitian input, the last when max_abs(A - A^dagger)
-    exceeds eq_tol * max_abs(A), so scaling A does not change the decision;
+    non-finite or non-Hermitian input, the last when max_abs(A - A^dagger), inf
+    if it overflows, exceeds eq_tol * max_abs(A): scaling A keeps the decision;
     the Hermitian part A/2 + A^dagger/2 is what gets diagonalized (formed so
     that it cannot overflow).
     """
@@ -145,10 +159,9 @@ def eig_hermitian(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _require_finite(a)
-    if max_abs(a - adjoint(a)) > tol.eq_tol * max_abs(a):
+    if _projection_residuals(a, idempotence=False)[0] > tol.eq_tol * max_abs(a):
         raise ValueError("matrix is not Hermitian within eq_tol")
-    eigvals, v = np.linalg.eigh(a / 2.0 + adjoint(a) / 2.0)
-    return eigvals, v
+    return np.linalg.eigh(a / 2.0 + adjoint(a) / 2.0)
 
 
 _DEGENERACY_TOL = 1e-8  # eigenvalues or eigenphases this close, chained, are one

@@ -98,6 +98,17 @@ class TestValidate:
                     key=lambda v: v.residual)
         assert worst.residual == pytest.approx(max_abs(p @ q), abs=1e-12)
 
+    # P P and P_0 P_1 overflowed with numpy RuntimeWarnings; now each reads inf
+    def test_overflowing_residuals_read_inf(self):
+        p = np.full((2, 2), 1e200)
+        violations = CircleRep(freqs=(0, 1), projections=(p, -p)).validate()
+        assert [(v.invariant, v.detail, v.residual) for v in violations] == [
+            ("idempotence", "projection 0", np.inf),
+            ("idempotence", "projection 1", np.inf),
+            ("orthogonality", "projections 0,1", np.inf),
+            ("completeness", "sum of projections", 1.0),
+        ]
+
     # int() truncated 2.5 to 2 and read "2" as 2; inf raised OverflowError
     @pytest.mark.parametrize("bad", [2.5, "2", float("inf"), float("nan")])
     def test_rejects_non_integer_frequency(self, bad):

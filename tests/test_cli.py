@@ -554,6 +554,23 @@ def test_overflowing_phase_sum_exits_2_without_warnings():
     assert "z1 + z4 - z2 must be finite" in proc.stderr
 
 
+# P - P^dagger and P P overflowed: two numpy RuntimeWarnings before the error
+def test_overflowing_candidate_exits_2_with_the_error_line_alone(instance_files, tmp_path):
+    import subprocess
+    import sys
+
+    proj = tmp_path / "huge.json"
+    proj.write_text(canonical_dumps(matrix_to_json(np.full((4, 4), 1e200))), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "covgraph.cli", "verify", "--rep", instance_files["rep"],
+         "--m0", instance_files["m0"], "--proj", str(proj)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: candidate is not an orthogonal projection within eq_tol\n"
+
+
 def test_console_entry_point_runs():
     import subprocess
     import sys

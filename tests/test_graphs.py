@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covgraph import (
+    CircleRep,
     FamilyParams,
     OperatorGraph,
     Tolerance,
@@ -95,6 +96,17 @@ class TestFrequencyComponents:
         comps = {c.freq: c.operator for c in
                  frequency_components(block_rep, two_block_seed(rng))}
         assert max_abs(comps[-2] - adjoint(comps[2])) <= 1e-12
+
+    # a finite seed whose m = 0 component has an entry 1.36x its largest: the
+    # components cannot be returned, but the span, built from unit elements, can
+    def test_component_too_large_for_a_float(self):
+        u = np.array([np.cos(0.2), np.sin(0.2)])
+        rep = CircleRep(freqs=(0, 1), projections=(np.outer(u, u), np.eye(2) - np.outer(u, u)))
+        seed = np.full((2, 2), np.finfo(float).max)
+        with pytest.raises(ValueError) as raised:
+            frequency_components(rep, seed)
+        assert str(raised.value) == "a frequency component has an entry too large for a float"
+        assert orbit_graph(rep, seed).span_dim == 3
 
 
 class TestNonFiniteSeed:

@@ -261,7 +261,10 @@ class TestSpectralProjections:
 @pytest.mark.parametrize("call,arg,message", [
     (eig_hermitian, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
     (spectral_projections_unitary, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
-], ids=["eig_hermitian-non-square", "spectral_projections_unitary-non-square"])
+    # A - A^dagger overflowed with a numpy RuntimeWarning before the verdict
+    (eig_hermitian, np.array([[1e308, -1e308], [1e308, 0.0]]), "matrix is not Hermitian within eq_tol"),
+], ids=["eig_hermitian-non-square", "spectral_projections_unitary-non-square",
+        "eig_hermitian-overflowing-residual"])
 def test_input_rejections(call, arg, message):
     with pytest.raises(ValueError) as raised:
         call(arg)
@@ -335,6 +338,13 @@ class TestProjectionPredicate:
 
     def test_kron_diagonal(self):
         assert np.allclose(np.diag(np.kron(np.eye(2), SIGMA_Z)), [1, -1, 1, -1])
+
+    # P - P^dagger, then P P, overflowed with a numpy RuntimeWarning; an
+    # overflowing residual is inf, and inf fails
+    @pytest.mark.parametrize("p", [np.array([[1e308, -1e308], [1e308, 0.0]]),
+                                   np.full((2, 2), 1e200)], ids=["hermiticity", "idempotence"])
+    def test_overflowing_residual_is_not_a_projection(self, p):
+        assert not is_projection(p)
 
 
 class TestTolerance:
