@@ -33,7 +33,8 @@ from .anticlique import AnticliqueVerdict, _knill_laflamme
 from .circle import CircleRep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, adjoint, is_projection, max_abs, schmidt
+    DEFAULT_TOL, Tolerance, _as_integer, _shannon_bits, _unit_scale, adjoint, is_projection,
+    max_abs, schmidt
 )
 
 __all__ = [
@@ -183,6 +184,7 @@ def tensor_identification(
         v = np.asarray(targets[label], dtype=complex).reshape(-1)
         if v.size != 4:
             raise ValueError("each target must be a vector of length 4")
+        v, _ = _unit_scale(v)  # exact, so that the norm neither overflows nor underflows
         nrm = np.linalg.norm(v)
         if nrm == 0.0:
             raise ValueError(f"target {label} is the zero vector")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .circle import CircleRep, _from_frame, two_block_rep
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _projection_residuals, _require_finite, adjoint, eig_hermitian,
+    DEFAULT_TOL, Tolerance, _projection_residuals, _unit_scale, adjoint, eig_hermitian,
     gram_schmidt_operators, max_abs,
 )
 
@@ -112,35 +112,27 @@ class OperatorSystemCheck(NamedTuple):
     adjoint_residual: float
 
 
-def _binade(a: np.ndarray) -> float:
-    """The power of two at or below the largest real or imaginary part of the
-    complex matrix a (finite, unlike a modulus): dividing by it is exact and
-    leaves every part below 2."""
-    return math.ldexp(1.0, math.frexp(max(max_abs(a.real), max_abs(a.imag)))[1] - 1)
-
-
 def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
-    """(ms, F, slot, norms) for the components A_m with ||A_m||_HS >
-    eq_tol * ||seed||_HS, sorted by m: slot[a, b] is the index in ms of
-    s_a - s_b (-1 if dropped), F is M' = W^dagger M W divided on each entry by
-    the HS norm of its component (0 if dropped), and A_m is
-    _binade(seed) W A'_m W^dagger with A'_m = norms[j] F on the entries of
-    slot j.  The seed is divided by its binade first, so ||M'||_HS >= 1: no
-    square overflows, and one that underflows is far below the cut.  Needs a
-    valid representation."""
-    seed = rep._operator(seed)
-    _require_finite(seed)  # a NaN cut would drop every component
+    """(ms, F, slot, norms, seed / s, s) for the components A_m with
+    ||A_m||_HS > eq_tol * ||seed||_HS, sorted by m: slot[a, b] is the index in
+    ms of s_a - s_b (-1 if dropped), F is M' = W^dagger (seed / s) W divided on
+    each entry by the HS norm of its component (0 if dropped), and A_m is
+    s W A'_m W^dagger with A'_m = norms[j] F on the entries of slot j.  This is
+    the seed's one intake (_unit_scale, exact), so ||M'||_HS >= 1: no square
+    overflows, and one that underflows is far below the cut.  Raises
+    ValueError on a malformed or non-finite seed.  Needs a valid rep."""
+    seed, scale = _unit_scale(rep._operator(seed))
     labels, w = rep._block_basis
     freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
     ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
     pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
-    frame = adjoint(w) @ (seed / _binade(seed)) @ w
+    frame = adjoint(w) @ seed @ w
     squares = np.bincount(pair.ravel(), np.abs(frame.ravel()) ** 2, len(ms))
     kept = squares > tol.eq_tol**2 * squares.sum()
     norms = np.sqrt(squares)
     f = np.divide(frame, norms[pair], out=np.zeros_like(frame), where=kept[pair])
     slot = np.where(kept, np.cumsum(kept) - 1, -1)[pair]
-    return ms[kept], f, slot, norms[kept]
+    return ms[kept], f, slot, norms[kept], seed, scale
 
 
 def frequency_components(
@@ -149,20 +141,17 @@ def frequency_components(
     """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, with
     ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid.
     Raises ValueError if a component has an entry too large for a float."""
-    ms, f, slot, norms = _frame_span(rep, seed, tol)
+    ms, f, slot, norms, _, scale = _frame_span(rep, seed, tol)
     comps = _from_frame(rep._block_basis[1], _unpack(f, slot, len(ms)) * norms[:, None, None])
-    scale = _binade(rep._operator(seed))
     if max_abs(comps) * scale == math.inf:
         raise ValueError("a frequency component has an entry too large for a float")
     return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps * scale)]
 
 
-def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
-    """Raise ValueError unless the seed is Hermitian within eq_tol * max_abs(seed)
-    and its smallest eigenvalue is >= -eq_tol * (its spectral norm), on the
-    seed divided by its binade, so the verdict ignores the seed's scale."""
-    scale = _binade(seed)
-    seed = seed / scale
+def _positivity_check(seed: np.ndarray, scale: float, tol: Tolerance) -> None:
+    """Raise ValueError unless the seed, as seed / s and s from _frame_span, is
+    Hermitian within eq_tol * max_abs(seed) and its smallest eigenvalue is
+    >= -eq_tol * (its spectral norm), decided on seed / s: scale-free."""
     if _projection_residuals(seed, idempotence=False)[0] > tol.eq_tol * max_abs(seed):
         raise ValueError(
             "seed is not positive semidefinite (not Hermitian); "
@@ -170,8 +159,8 @@ def _positivity_check(seed: np.ndarray, tol: Tolerance) -> None:
         )
     eigvals, _ = eig_hermitian(seed, tol)  # diagonalizes the Hermitian part
     if eigvals[0] < -tol.eq_tol * max(-eigvals[0], eigvals[-1]):
-        raise ValueError(
-            f"seed is not positive semidefinite (min eigenvalue {eigvals[0] * scale:.3g}); "
+        raise ValueError(  # a Python float: an overflow reads -inf, without a numpy warning
+            f"seed is not positive semidefinite (min eigenvalue {float(eigvals[0]) * scale:.3g}); "
             "pass allow_nonpositive=True to explore anyway"
         )
 
@@ -185,9 +174,9 @@ def orbit_graph(
     """Span of the conjugation orbit of the seed: the components A_m / ||A_m||_HS,
     held in the rep's block frame as one matrix F and its slots.  The rep must
     be valid; that is not checked."""
-    ms, f, slot, _ = _frame_span(rep, seed, tol)  # names a malformed seed first
+    ms, f, slot, _, unit, scale = _frame_span(rep, seed, tol)  # names a malformed seed first
     if not allow_nonpositive:
-        _positivity_check(np.asarray(seed, dtype=complex), tol)
+        _positivity_check(unit, scale, tol)
     return OperatorGraph._compact(rep._block_basis[1], f, slot, len(ms))
 
 
@@ -202,9 +191,9 @@ def sampled_orbit_graph(
     Matches orbit_graph once n_samples exceeds every nonzero frequency
     difference; kept as a quadrature-based cross-check of the analytic route.
     """
-    seed = rep._operator(seed)
-    # the span ignores the seed's scale; dividing by its binade keeps the conjugates finite
-    basis, _ = gram_schmidt_operators(rep._conjugates(seed / _binade(seed), n_samples), tol)
+    # the span ignores the seed's scale; taking it out keeps the conjugates finite
+    seed, _ = _unit_scale(rep._operator(seed))
+    basis, _ = gram_schmidt_operators(rep._conjugates(seed, n_samples), tol)
     return OperatorGraph(dim=rep.dim, basis=basis)
 
 
@@ -301,7 +290,7 @@ def adjoint_closure_scalar(
     """
     if sorted(rep.freqs) != [-1, 1]:
         raise ValueError("adjoint_closure_scalar requires a two-block representation")
-    ms, f, slot, norms = _frame_span(rep, seed, tol)
+    ms, f, slot, norms, _, _ = _frame_span(rep, seed, tol)
     # F or G is zero when _frame_span drops it, a cut relative to the seed
     index = {m: j for j, m in enumerate(ms.tolist())}
     if 2 not in index:

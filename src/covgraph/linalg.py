@@ -91,6 +91,18 @@ def _projection_residuals(p: np.ndarray, idempotence: bool = True) -> tuple:
     return (hermitian, _worst(p @ p - p)) if idempotence else (hermitian,)
 
 
+def _unit_scale(a) -> tuple[np.ndarray, float]:
+    """(a / s, s), s the power of two at or below a's largest real or imaginary part
+    (1 if a is 0), divided exactly on the float parts, also for a subnormal s: the
+    largest part of a / s is in [1, 2).  ValueError if that largest part is not finite."""
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    top = float(np.max(np.abs(parts), initial=0.0))
+    if not math.isfinite(top):  # NaN compares false, so it would pass every cut
+        raise ValueError("input has non-finite entries")
+    exponent = math.frexp(top)[1] - 1 if top else 0
+    return np.ldexp(parts, -exponent).view(complex), math.ldexp(1.0, exponent)
+
+
 def gram_schmidt_operators(
     ops: list[np.ndarray] | tuple[np.ndarray, ...] | np.ndarray,
     tol: Tolerance = DEFAULT_TOL,
@@ -98,15 +110,14 @@ def gram_schmidt_operators(
     """Orthonormalize a family of same-shape operators in the HS inner product.
 
     Gram-Schmidt in input order, projecting each input against the whole kept
-    block at once, twice, on a copy divided by its largest entry.  An input
-    whose residual is <= eq_tol * (largest input norm) is dropped as dependent,
-    so the rank ignores the overall scale.  Raises ValueError on non-finite input.
-    Returns (basis, rank): basis is a (rank, *shape) array whose span holds
-    every input, up to a dropped input's residual.
+    block at once, twice, on one stacked copy divided exactly by its scale s
+    (_unit_scale).  An input whose residual is <= eq_tol * (largest input
+    norm) is dropped as dependent, so the rank ignores the overall scale over
+    the whole float range.  Raises ValueError on non-finite input.  Returns
+    (basis, rank): basis is a (rank, *shape) array whose span holds every
+    input, up to a dropped input's residual.
     """
-    work = np.array(ops, dtype=complex)  # one stacked copy, orthonormalized in place
-    _require_finite(work)
-    work /= max_abs(work) or 1.0  # so that no norm underflows or overflows
+    work, _ = _unit_scale(ops)  # a fresh stacked copy, orthonormalized in place
     k = len(work)
     flat = work.reshape(k, math.prod(work.shape[1:]))
     cut = tol.eq_tol * max(map(np.linalg.norm, flat), default=0.0)
@@ -120,12 +131,6 @@ def gram_schmidt_operators(
             flat[rank] = v / r
             rank += 1
     return work[:rank], rank
-
-
-def _require_finite(a: np.ndarray) -> None:
-    # NaN compares false, so it would slip through every tolerance check
-    if not np.all(np.isfinite(a)):
-        raise ValueError("input has non-finite entries")
 
 
 def _as_integer(value, message: str) -> int:
@@ -149,19 +154,22 @@ def eig_hermitian(
     """Eigendecomposition of a Hermitian matrix (LAPACK, via numpy's eigh).
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    a @ V ~ V @ diag(eigenvalues).  Raises ValueError on non-square,
-    non-finite or non-Hermitian input, the last when max_abs(A - A^dagger), inf
-    if it overflows, exceeds eq_tol * max_abs(A): scaling A keeps the decision;
-    the Hermitian part A/2 + A^dagger/2 is what gets diagonalized (formed so
-    that it cannot overflow).
+    a @ V ~ V @ diag(eigenvalues).  Decides and diagonalizes (A + A^dagger)/2
+    on A / s (_unit_scale) and multiplies the eigenvalues back by s.  Raises
+    ValueError on non-square, non-finite or non-Hermitian input, the last when
+    max_abs(A - A^dagger) > eq_tol * max_abs(A), so scaling A keeps the
+    decision, and when an eigenvalue is too large for a float.
     """
     a = _as_complex(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    _require_finite(a)
+    a, scale = _unit_scale(a)
     if _projection_residuals(a, idempotence=False)[0] > tol.eq_tol * max_abs(a):
         raise ValueError("matrix is not Hermitian within eq_tol")
-    return np.linalg.eigh(a / 2.0 + adjoint(a) / 2.0)
+    eigvals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
+    if max_abs(eigvals) * scale == math.inf:
+        raise ValueError("an eigenvalue is too large for a float")
+    return eigvals * scale, vecs
 
 
 _DEGENERACY_TOL = 1e-8  # eigenvalues or eigenphases this close, chained, are one
@@ -239,9 +247,9 @@ def schmidt(
     vec = _as_complex(v).reshape(-1)
     if vec.size != d_a * d_b:
         raise ValueError(f"vector length {vec.size} != {d_a}*{d_b}")
-    _require_finite(vec)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol.eq_tol * (1.0 + max(norm, 1.0)):
+    unit, scale = _unit_scale(vec)
+    norm = float(np.linalg.norm(unit)) * scale  # inf when the norm is past the float range
+    if norm == math.inf or abs(norm - 1.0) > tol.eq_tol * (1.0 + max(norm, 1.0)):
         raise ValueError(f"vector norm {norm} is not 1 within eq_tol")
     coeffs = np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False)
     return coeffs, _shannon_bits(coeffs * coeffs)

@@ -11,7 +11,6 @@ from covgraph import (
     CircleRep,
     OperatorGraph,
     adjoint,
-    frequency_components,
     gram_schmidt_operators,
     hs_inner,
     max_abs,
@@ -74,15 +73,21 @@ def random_rep(rng: np.random.Generator, n: int, freqs) -> CircleRep:
     return CircleRep(freqs=tuple(freqs), projections=tuple(c @ c.conj().T for c in cols))
 
 
+def _pair_loop(rep: CircleRep, seed: np.ndarray) -> dict[int, np.ndarray]:
+    """m -> A_m = sum_{s_j - s_k = m} P_j M P_k, from the loop over pairs of projections."""
+    acc: dict[int, np.ndarray] = {}
+    for sj, pj in zip(rep.freqs, rep.projections):
+        for sk, pk in zip(rep.freqs, rep.projections):
+            acc[sj - sk] = acc.get(sj - sk, 0.0) + pj @ seed @ pk
+    return acc
+
+
 def pair_loop_graph(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL) -> OperatorGraph:
     """Reference orbit span without the block frame: the components
     A_m = sum_{s_j - s_k = m} P_j M P_k from the pair loop over the
     projections, those with max_abs(A_m) > eq_tol * max_abs(seed), then
     Gram-Schmidt."""
-    acc: dict[int, np.ndarray] = {}
-    for sj, pj in zip(rep.freqs, rep.projections):
-        for sk, pk in zip(rep.freqs, rep.projections):
-            acc[sj - sk] = acc.get(sj - sk, 0.0) + pj @ seed @ pk
+    acc = _pair_loop(rep, seed)
     cut = tol.eq_tol * max_abs(seed)
     kept = [acc[m] for m in sorted(acc) if max_abs(acc[m]) > cut]
     basis, _ = gram_schmidt_operators(kept, tol)
@@ -106,12 +111,14 @@ def operator_system_reference(graph: OperatorGraph) -> tuple[float, float]:
 
 
 def adjoint_closure_reference(rep: CircleRep, seed: np.ndarray, tol=DEFAULT_TOL):
-    """adjoint_closure_scalar from the components F (m = +2) and G (m = -2) in
-    the original basis: h = <F^dagger, G> / <F^dagger, F^dagger>, returned when
-    ||G - h F^dagger||_HS <= eq_tol ||G||_HS; 0.0 when both are dropped and
-    None when only F is."""
+    """adjoint_closure_scalar without the block frame: F (m = +2) and G (m = -2)
+    from the pair loop over the projections, each kept when its HS norm
+    exceeds eq_tol * ||seed||_HS; h = <F^dagger, G> / <F^dagger, F^dagger>,
+    returned when ||G - h F^dagger||_HS <= eq_tol ||G||_HS; 0.0 when both are
+    dropped and None when only F is."""
     seed = np.divide(seed, max_abs(seed) or 1.0)  # so that |F|^2 neither underflows nor overflows
-    comps = {c.freq: c.operator for c in frequency_components(rep, seed, tol)}
+    cut = tol.eq_tol * np.linalg.norm(seed)
+    comps = {m: a for m, a in _pair_loop(rep, seed).items() if np.linalg.norm(a) > cut}
     if 2 not in comps:
         return 0.0 if -2 not in comps else None
     f_star = adjoint(comps[2])

@@ -270,6 +270,34 @@ class TestDemo4:
         assert report == want
 
 
+class TestHumanOutput:
+    """The report printed without --json: a header line naming the command and
+    its inputs, then one [PASS] or [FAIL] line per assertion."""
+
+    def test_bell_report(self, capsys):
+        assert main(["bell", "--dim", "2", "--j", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6
+        assert lines[0] == "bell  inputs: {'dim': 2, 'j': 1}"
+        assert lines[4] == (
+            "[PASS] anticlique-s-1               residual=0.000e+00  "
+            "{'code_dimension': 2, 'constants': [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]}"
+        )
+
+    def test_failing_verify_report(self, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).parent / "golden" / "inputs")
+        argv = ["verify", "--rep", "two_block_rep.json", "--m0", "two_block_m0.json",
+                "--proj", "rank1_proj.json"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "verify  inputs: {'rep': 'two_block_rep.json', 'm0': 'two_block_m0.json', "
+            "'proj': 'rank1_proj.json', 'samples': None}\n"
+            "[FAIL] anticlique                   residual=0.000e+00  "
+            "{'code_dimension': 1, 'constants': [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], "
+            "'reason': 'code_dimension < 2'}\n"
+        )
+
+
 class TestBell:
     def test_small_dimension(self, capsys):
         code, report = run_json(capsys, ["bell", "--dim", "2", "--j", "1"])
@@ -569,6 +597,29 @@ def test_overflowing_candidate_exits_2_with_the_error_line_alone(instance_files,
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: candidate is not an orthogonal projection within eq_tol\n"
+
+
+# the smallest eigenvalue times the seed's scale overflowed in a numpy scalar,
+# a RuntimeWarning before the error
+def test_overflowing_psd_message_is_the_error_line_alone(tmp_path):
+    import subprocess
+    import sys
+
+    paths = {}
+    for name, doc in (("rep", rep_to_json(two_block_rep(np.diag([1.0, 0.0])))),
+                      ("m0", matrix_to_json(-1.5e308 * np.ones((2, 2)))),
+                      ("proj", matrix_to_json(np.diag([1.0, 0.0])))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(canonical_dumps(doc), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "covgraph.cli", "verify", "--rep", str(paths["rep"]),
+         "--m0", str(paths["m0"]), "--proj", str(paths["proj"])],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: seed is not positive semidefinite (min eigenvalue -inf); "
+                           "pass allow_nonpositive=True to explore anyway\n")
 
 
 def test_console_entry_point_runs():

@@ -317,6 +317,16 @@ class TestTensorIdentification:
         assert ident.is_unitary
         assert max_abs(ident.matrix - np.eye(4)) <= 1e-15
 
+    # at 1e200 the norm's squares overflowed, so xx was scaled to 0 and the
+    # targets read as linearly dependent
+    @pytest.mark.parametrize("scale,phase", [(1e200, 1.0), (1e-310, 1.0),
+                                             (1.5e308 + 1.5e308j, (1.0 + 1.0j) / math.sqrt(2.0))],
+                             ids=["1e200", "subnormal", "modulus-overflows"])
+    def test_target_scale_is_divided_out(self, scale, phase):
+        ident = tensor_identification({**UNIT_TARGETS, "xx": scale * UNIT_TARGETS["xx"]})
+        assert ident.is_unitary
+        assert max_abs(ident.matrix - np.diag([phase, 1.0, 1.0, 1.0])) <= 1e-15
+
     def test_permuted_assignment(self):
         targets = {
             "xx": np.array([0, 1, 0, 0]),
@@ -453,6 +463,9 @@ UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
      "each target must be a vector of length 4"),
     (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.zeros(4)}),
      "target xx is the zero vector"),
+    # a NaN target gave a NaN matrix
+    (lambda: tensor_identification({**UNIT_TARGETS, "xx": np.array([math.nan, 0.0, 0.0, 0.0])}),
+     "input has non-finite entries"),
     (lambda: FamilyParams(0.3, k=0.5), "k must be an integer, got 0.5"),
     (lambda: FamilyParams(0.3, z1=math.nan),
      "phases z1, z2, z4 and z1 + z4 - z2 must be finite, got z1=nan, z2=0.0, z4=0.0"),
@@ -463,6 +476,7 @@ UNIT_TARGETS = dict(zip(("xx", "xy", "yx", "yy"), np.eye(4)))
      "phases z1, z2, z4 and z1 + z4 - z2 must be finite, got z1=1e+308, z2=0.0, z4=1e+308"),
 ], ids=["3x3", "projection-without-half-blocks", "within-block-entry",
         "a-and-b-magnitudes-differ", "tau2-plus-rho2-not-quarter", "target-length-3", "zero-target",
+        "nan-target",
         "non-integer-k", "nan-phase", "infinite-phase", "phase-sum-overflows"])
 def test_input_rejections(call, message):
     if message is None:

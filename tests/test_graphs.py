@@ -370,6 +370,9 @@ class TestScaleInvariance:
         scale=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the largest part falls below 2**-1021 and its power of two is subnormal
+    @example(family=True, tau=0.2, scale=1e-308, seed=0)
+    @example(family=False, tau=0.0, scale=1e-308, seed=0)
     @example(family=True, tau=0.2, scale=1e308, seed=0)
     @example(family=False, tau=0.0, scale=1e308, seed=0)
     @example(family=True, tau=0.2, scale=float(np.finfo(float).max), seed=1)

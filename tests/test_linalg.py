@@ -8,6 +8,7 @@ eigendecompositions."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -37,6 +38,9 @@ from helpers import (
     random_rep,
     random_unitary_givens,
 )
+
+# both parts near the largest float: the modulus, 2.1e308, is past it
+HUGE = 1.5e308 + 1.5e308j
 
 
 class TestHsInner:
@@ -120,6 +124,15 @@ class TestGramSchmidt:
         assert max_abs(basis - base_basis) <= 1e-15
         coeffs = np.tensordot(scaled, basis.conj(), axes=((1, 2), (1, 2)))  # <b_j, op_i>
         assert max_abs(np.tensordot(coeffs, basis, axes=1) - scaled) <= 1e-14 * scale
+
+    # dividing by a subnormal largest entry overflowed, and a modulus past the
+    # largest float read inf: both inputs were dropped as dependent (rank 0)
+    @pytest.mark.parametrize("op", [1e-310 * np.eye(2), np.array([[HUGE, 0.0], [0.0, 1.0]])],
+                             ids=["subnormal", "modulus-overflows"])
+    def test_rank_at_the_ends_of_the_float_range(self, op):
+        basis, rank = gram_schmidt_operators([op])
+        assert rank == 1
+        assert np.linalg.norm(basis[0]) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
@@ -263,8 +276,20 @@ class TestSpectralProjections:
     (spectral_projections_unitary, np.zeros((2, 3)), "expected a square matrix, got shape (2, 3)"),
     # A - A^dagger overflowed with a numpy RuntimeWarning before the verdict
     (eig_hermitian, np.array([[1e308, -1e308], [1e308, 0.0]]), "matrix is not Hermitian within eq_tol"),
+    # the cut eq_tol * max_abs(A) read inf, so this matrix was accepted
+    (eig_hermitian, np.array([[0.0, HUGE], [0.0, 0.0]]), "matrix is not Hermitian within eq_tol"),
+    # Hermitian, but its eigenvalues +-2.1e308 were returned as NaN
+    (eig_hermitian, np.array([[0.0, HUGE], [np.conj(HUGE), 0.0]]),
+     "an eigenvalue is too large for a float"),
+    # the norm's squares overflowed: coefficients (1e200, 0) and entropy -inf
+    (functools.partial(schmidt, d_a=2, d_b=2), np.array([1e200, 0.0, 0.0, 0.0]),
+     "vector norm 1e+200 is not 1 within eq_tol"),
+    (functools.partial(schmidt, d_a=2, d_b=2), np.array([HUGE, 0.0, 0.0, 0.0]),
+     "vector norm inf is not 1 within eq_tol"),
 ], ids=["eig_hermitian-non-square", "spectral_projections_unitary-non-square",
-        "eig_hermitian-overflowing-residual"])
+        "eig_hermitian-overflowing-residual", "eig_hermitian-overflowing-modulus",
+        "eig_hermitian-eigenvalue-past-the-float-range", "schmidt-squares-overflow",
+        "schmidt-modulus-overflows"])
 def test_input_rejections(call, arg, message):
     with pytest.raises(ValueError) as raised:
         call(arg)
