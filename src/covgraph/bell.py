@@ -100,12 +100,12 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
 
     Asserts three facts: the pinching of the seed is I/d, the orbit span
     contains the identity and is adjoint-closed, and every P_s passes the
-    compression check.
+    compression check.  The pinching is read from the orbit graph.
     """
     rep = bell_rep(d)
     seed = first_factor_projection(d, j)
     graph = orbit_graph(rep, seed, tol)
-    pinch_residual = max_abs(rep.pinch(seed) - np.eye(d * d) / d)
+    pinch_residual = max_abs(graph._pinched_seed() - np.eye(d * d) / d)
     system = is_operator_system(graph, tol)
     verdicts = tuple(_knill_laflamme(rep._frame_rows(s), graph, tol) for s in range(d))
     passed = (

@@ -20,8 +20,7 @@ import numpy as np
 
 from .circle import CircleRep, _from_frame, two_block_rep
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _projection_residuals, _unit_scale, adjoint, eig_hermitian,
-    gram_schmidt_operators, max_abs,
+    DEFAULT_TOL, Tolerance, _unit_scale, adjoint, eig_hermitian, gram_schmidt_operators, max_abs,
 )
 
 __all__ = [
@@ -52,7 +51,8 @@ class OperatorGraph:
     is formed on first use.  A graph built from a basis has W = I.  An orbit
     graph holds B' compactly: its elements have disjoint supports in the
     frame, so one matrix F carries them all and ``slot`` labels each entry
-    with the index of its element (-1 on no element)."""
+    with the index of its element (-1 on no element).  It keeps the rest of its
+    seed's decomposition: the kept m, the norms ||A_m||_HS / s and the scale s."""
 
     def __init__(self, dim: int, basis):
         basis = np.asarray(basis, dtype=complex)
@@ -65,11 +65,12 @@ class OperatorGraph:
         self._w, self._f, self._slot = np.eye(dim, dtype=complex), None, None
 
     @classmethod
-    def _compact(cls, w: np.ndarray, f: np.ndarray, slot: np.ndarray,
-                 span_dim: int) -> OperatorGraph:
+    def _compact(cls, w: np.ndarray, f: np.ndarray, slot: np.ndarray, ms: np.ndarray,
+                 norms: np.ndarray, scale: float) -> OperatorGraph:
         graph = cls.__new__(cls)
-        graph.dim, graph.span_dim = len(w), span_dim
+        graph.dim, graph.span_dim = len(w), len(ms)
         graph._w, graph._f, graph._slot = w, f, slot
+        graph._ms, graph._norms, graph._scale = ms, norms, scale
         return graph
 
     @functools.cached_property
@@ -80,6 +81,16 @@ class OperatorGraph:
     def basis(self) -> np.ndarray:
         return _from_frame(self._w, self._frame_basis)
 
+    @functools.cached_property
+    def _f_zero(self) -> np.ndarray:
+        """W F_0 W^dagger, F_0 = F on the slot of entry (0, 0): the unit element at
+        m = 0, or 0 if dropped; shared by the identity residual and _pinched_seed."""
+        return _from_frame(self._w, np.where(self._slot == self._slot[0, 0], self._f, 0.0))
+
+    def _pinched_seed(self) -> np.ndarray:
+        """The seed's pinching sum_j P_j M P_j: its component s ||A'_0||_HS W F_0 W^dagger."""
+        return self._f_zero * self._norms[self._ms == 0].sum() * self._scale  # 0 if dropped
+
     def _frame_block(self, rows: np.ndarray) -> np.ndarray:
         """B'[:, rows, rows] of a compact graph, scattered from F without the
         (span_dim, dim, dim) stack."""
@@ -88,13 +99,13 @@ class OperatorGraph:
 
     def project(self, a: np.ndarray) -> np.ndarray:
         """HS-orthogonal projection onto the span of one matrix or a stack of
-        them, as sum_j <b_j, a> b_j: exact only for an HS-orthonormal basis."""
+        them, by least squares against the flattened basis: exact for any basis."""
         a = np.asarray(a, dtype=complex)
         if a.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim} matrices, got {a.shape}")
-        flat = self.basis.reshape(self.span_dim, self.dim * self.dim)
-        coeffs = (a.reshape(-1, self.dim * self.dim).conj() @ flat.T).conj()  # <b_j, a>
-        return (coeffs @ flat).reshape(a.shape)
+        flat = _flat_basis(self)
+        targets = a.reshape(-1, self.dim * self.dim).T
+        return (flat @ np.linalg.lstsq(flat, targets, rcond=None)[0]).T.reshape(a.shape)
 
 
 def _unpack(f: np.ndarray, slot: np.ndarray, k: int) -> np.ndarray:
@@ -112,57 +123,34 @@ class OperatorSystemCheck(NamedTuple):
     adjoint_residual: float
 
 
-def _frame_span(rep: CircleRep, seed: np.ndarray, tol: Tolerance):
-    """(ms, F, slot, norms, seed / s, s) for the components A_m with
-    ||A_m||_HS > eq_tol * ||seed||_HS, sorted by m: slot[a, b] is the index in
-    ms of s_a - s_b (-1 if dropped), F is M' = W^dagger (seed / s) W divided on
-    each entry by the HS norm of its component (0 if dropped), and A_m is
-    s W A'_m W^dagger with A'_m = norms[j] F on the entries of slot j.  This is
-    the seed's one intake (_unit_scale, exact), so ||M'||_HS >= 1: no square
-    overflows, and one that underflows is far below the cut.  Raises
-    ValueError on a malformed or non-finite seed.  Needs a valid rep."""
-    seed, scale = _unit_scale(rep._operator(seed))
-    labels, w = rep._block_basis
-    freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
-    ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
-    pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
-    frame = adjoint(w) @ seed @ w
-    squares = np.bincount(pair.ravel(), np.abs(frame.ravel()) ** 2, len(ms))
-    kept = squares > tol.eq_tol**2 * squares.sum()
-    norms = np.sqrt(squares)
-    f = np.divide(frame, norms[pair], out=np.zeros_like(frame), where=kept[pair])
-    slot = np.where(kept, np.cumsum(kept) - 1, -1)[pair]
-    return ms[kept], f, slot, norms[kept], seed, scale
-
-
 def frequency_components(
     rep: CircleRep, seed: np.ndarray, tol: Tolerance = DEFAULT_TOL
 ) -> list[FrequencyComponent]:
     """Components A_m = sum_{s_j - s_k = m} P_j seed P_k, sorted by m, with
-    ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid.
-    Raises ValueError if a component has an entry too large for a float."""
-    ms, f, slot, norms, _, scale = _frame_span(rep, seed, tol)
-    comps = _from_frame(rep._block_basis[1], _unpack(f, slot, len(ms)) * norms[:, None, None])
-    if max_abs(comps) * scale == math.inf:
+    ||A_m||_HS > eq_tol * ||seed||_HS; the representation must be valid.  Read
+    from the seed's orbit graph as s ||A'_m||_HS B_m.  Raises ValueError if a
+    component has an entry too large for a float."""
+    graph = orbit_graph(rep, seed, tol, allow_nonpositive=True)
+    comps = graph.basis * graph._norms[:, None, None]
+    if max_abs(comps) * graph._scale == math.inf:
         raise ValueError("a frequency component has an entry too large for a float")
-    return [FrequencyComponent(m, a) for m, a in zip(ms.tolist(), comps * scale)]
+    return [FrequencyComponent(m, a) for m, a in zip(graph._ms.tolist(), comps * graph._scale)]
+
+
+_EXPLORE = "pass allow_nonpositive=True (--allow-nonpositive) to explore anyway"
 
 
 def _positivity_check(seed: np.ndarray, scale: float, tol: Tolerance) -> None:
-    """Raise ValueError unless the seed, as seed / s and s from _frame_span, is
-    Hermitian within eq_tol * max_abs(seed) and its smallest eigenvalue is
-    >= -eq_tol * (its spectral norm), decided on seed / s: scale-free."""
-    if _projection_residuals(seed, idempotence=False)[0] > tol.eq_tol * max_abs(seed):
-        raise ValueError(
-            "seed is not positive semidefinite (not Hermitian); "
-            "pass allow_nonpositive=True to explore anyway"
-        )
-    eigvals, _ = eig_hermitian(seed, tol)  # diagonalizes the Hermitian part
+    """Raise ValueError unless eig_hermitian finds the seed, as seed / s and s from
+    orbit_graph, Hermitian (the only error it can raise here) and its smallest
+    eigenvalue is >= -eq_tol * (its spectral norm), decided on seed / s: scale-free."""
+    try:
+        eigvals, _ = eig_hermitian(seed, tol)  # diagonalizes the Hermitian part
+    except ValueError:
+        raise ValueError(f"seed is not positive semidefinite (not Hermitian); {_EXPLORE}") from None
     if eigvals[0] < -tol.eq_tol * max(-eigvals[0], eigvals[-1]):
-        raise ValueError(  # a Python float: an overflow reads -inf, without a numpy warning
-            f"seed is not positive semidefinite (min eigenvalue {float(eigvals[0]) * scale:.3g}); "
-            "pass allow_nonpositive=True to explore anyway"
-        )
+        low = float(eigvals[0]) * scale  # a Python float: an overflow reads -inf, no numpy warning
+        raise ValueError(f"seed is not positive semidefinite (min eigenvalue {low:.3g}); {_EXPLORE}")
 
 
 def orbit_graph(
@@ -171,13 +159,26 @@ def orbit_graph(
     tol: Tolerance = DEFAULT_TOL,
     allow_nonpositive: bool = False,
 ) -> OperatorGraph:
-    """Span of the conjugation orbit of the seed: the components A_m / ||A_m||_HS,
-    held in the rep's block frame as one matrix F and its slots.  The rep must
-    be valid; that is not checked."""
-    ms, f, slot, _, unit, scale = _frame_span(rep, seed, tol)  # names a malformed seed first
+    """Span of the conjugation orbit of the seed: the components A_m with
+    ||A_m||_HS > eq_tol * ||seed||_HS, normalized.  The seed is decomposed here,
+    once: F is M' = W^dagger (seed / s) W (s from _unit_scale, so no square
+    overflows) divided on each entry by the norm of its component, 0 if dropped.
+    ValueError on a malformed or non-finite seed, then, unless allow_nonpositive,
+    on a non-PSD one.  The rep must be valid; that is not checked."""
+    unit, scale = _unit_scale(rep._operator(seed))
+    labels, w = rep._block_basis
+    freqs = np.array(rep.freqs, dtype=object)  # exact differences of int64 frequencies
+    ms, pair = np.unique(np.subtract.outer(freqs, freqs), return_inverse=True)
+    pair = pair.reshape(len(freqs), -1)[labels[:, None], labels]  # index in ms of s_a - s_b
+    frame = adjoint(w) @ unit @ w
+    squares = np.bincount(pair.ravel(), np.abs(frame.ravel()) ** 2, len(ms))
+    kept = squares > tol.eq_tol**2 * squares.sum()
+    norms = np.sqrt(squares)
+    f = np.divide(frame, norms[pair], out=np.zeros_like(frame), where=kept[pair])
+    slot = np.where(kept, np.cumsum(kept) - 1, -1)[pair]
     if not allow_nonpositive:
         _positivity_check(unit, scale, tol)
-    return OperatorGraph._compact(rep._block_basis[1], f, slot, len(ms))
+    return OperatorGraph._compact(w, f, slot, ms[kept], norms[kept], scale)
 
 
 def sampled_orbit_graph(
@@ -221,12 +222,11 @@ def _span_gap(a: OperatorGraph, b: OperatorGraph) -> float:
     return float(np.linalg.norm(y - x @ (adjoint(x) @ y), 2)) if y.shape[1] else 0.0
 
 
-def _compact_residuals(graph: OperatorGraph) -> tuple[np.ndarray, float]:
-    """is_operator_system's frame identity residual and adjoint residual for a
-    compact graph, in O(n^2).  The adjoint of the element at m lies on the
-    entries of the one at -m, so its projection has the one coefficient
-    <B'_{-m}, B'_m^dagger> = sum conj(F) conj(F^T) over those entries.  The
-    identity lies on the diagonal, all at m = 0."""
+def _compact_adjoint_residual(graph: OperatorGraph) -> float:
+    """is_operator_system's adjoint residual for a compact graph, in O(n^2).
+    The adjoint of the element at m lies on the entries of the one at -m, so
+    its projection has the one coefficient <B'_{-m}, B'_m^dagger> = sum
+    conj(F) conj(F^T) over those entries."""
     f, slot, k = graph._f, graph._slot, graph.span_dim
     adj = f.T.conj()  # B'_j^dagger on the entries where slot.T == j
     on = slot >= 0
@@ -235,9 +235,7 @@ def _compact_residuals(graph: OperatorGraph) -> tuple[np.ndarray, float]:
     adj[on] -= coeffs[slot[on]] * f[on]
     owner = slot.T >= 0
     squares = np.bincount(slot.T[owner], np.abs(adj[owner]) ** 2, k)
-    at_zero = slot == slot[0, 0]  # the entries at m = 0, or the dropped ones (F = 0)
-    id_res = np.eye(graph.dim) - np.trace(f).conj() * np.where(at_zero, f, 0.0)
-    return id_res, float(np.sqrt(squares.max(initial=0.0)))
+    return float(np.sqrt(squares.max(initial=0.0)))
 
 
 def is_operator_system(
@@ -247,12 +245,12 @@ def is_operator_system(
 
     The identity residual is max_abs(I - Pi(I)) in the original frame and the
     adjoint residual is max_j ||B_j^dagger - Pi(B_j^dagger)||_HS over the unit
-    basis elements, Pi the HS projection onto the span.  Both are computed in
-    the graph's frame, where I stays I and the HS distance is unchanged; only
-    the identity residual is transformed back.  A compact (orbit) graph gets
-    both from F and its slots in O(n^2), a graph built from a basis from the
-    Gram products of its stack; that basis must be HS-orthonormal within
-    eq_tol, else ValueError names the Gram residual."""
+    basis elements, Pi the HS projection onto the span.  A compact (orbit)
+    graph gets the adjoint residual from F and its slots in O(n^2), in the
+    frame, and Pi(I) = conj(tr F) W F_0 W^dagger (I is all at m = 0) from the
+    product it shares with its seed's pinching.  A graph built from a basis
+    projects its stack; that basis must be HS-orthonormal within eq_tol, else
+    ValueError names the Gram residual."""
     if graph._f is None:
         flat = graph.basis.reshape(graph.span_dim, graph.dim * graph.dim)
         gram_res = max_abs(flat.conj() @ flat.T - np.eye(graph.span_dim))
@@ -263,8 +261,8 @@ def is_operator_system(
         adj = np.conj(graph.basis.transpose(0, 2, 1))
         adj_res = float(np.linalg.norm(adj - graph.project(adj), axis=(1, 2)).max(initial=0.0))
     else:
-        frame_res, adj_res = _compact_residuals(graph)
-        id_res = max_abs(_from_frame(graph._w, frame_res))
+        id_res = max_abs(np.eye(graph.dim) - np.trace(graph._f).conj() * graph._f_zero)
+        adj_res = _compact_adjoint_residual(graph)
     return OperatorSystemCheck(
         contains_identity=id_res <= tol.eq_tol,
         adjoint_closed=adj_res <= tol.eq_tol,
@@ -285,14 +283,16 @@ def adjoint_closure_scalar(
     Note the returned scalar certifies adjoint closure of the span only when
     F and G are both nonzero or both zero.
 
-    Read in the block frame, where HS products and the adjoint are unchanged,
-    from the unit-norm F^ and G^: h = <F^^dagger, G^> ||G|| / ||F||.
+    Read from the seed's orbit graph, in the block frame, where HS products
+    and the adjoint are unchanged, from the unit-norm F^ and G^ and the kept
+    norms: h = <F^^dagger, G^> ||G|| / ||F||.
     """
     if sorted(rep.freqs) != [-1, 1]:
         raise ValueError("adjoint_closure_scalar requires a two-block representation")
-    ms, f, slot, norms, _, _ = _frame_span(rep, seed, tol)
-    # F or G is zero when _frame_span drops it, a cut relative to the seed
-    index = {m: j for j, m in enumerate(ms.tolist())}
+    graph = orbit_graph(rep, seed, tol, allow_nonpositive=True)
+    f, slot, norms = graph._f, graph._slot, graph._norms
+    # F or G is zero when orbit_graph drops it, a cut relative to the seed
+    index = {m: j for j, m in enumerate(graph._ms.tolist())}
     if 2 not in index:
         return 0.0 if -2 not in index else None
     f_star = np.where(slot == index[2], f, 0.0).T.conj()

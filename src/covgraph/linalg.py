@@ -84,11 +84,10 @@ def _worst(r: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _projection_residuals(p: np.ndarray, idempotence: bool = True) -> tuple:
-    """(max|P - P^dagger|, max|P P - P|) of a matrix or of each of a stack (only the
-    first without ``idempotence``); one that overflows is inf, not a numpy warning."""
-    hermitian = _worst(p - p.conj().swapaxes(-1, -2))
-    return (hermitian, _worst(p @ p - p)) if idempotence else (hermitian,)
+def _projection_residuals(p: np.ndarray) -> tuple:
+    """(max|P - P^dagger|, max|P P - P|) of a matrix or of each of a stack; one
+    that overflows is inf, not a numpy warning."""
+    return _worst(p - p.conj().swapaxes(-1, -2)), _worst(p @ p - p)
 
 
 def _unit_scale(a) -> tuple[np.ndarray, float]:
@@ -164,7 +163,7 @@ def eig_hermitian(
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     a, scale = _unit_scale(a)
-    if _projection_residuals(a, idempotence=False)[0] > tol.eq_tol * max_abs(a):
+    if max_abs(a - adjoint(a)) > tol.eq_tol * max_abs(a):  # a / s cannot overflow here
         raise ValueError("matrix is not Hermitian within eq_tol")
     eigvals, vecs = np.linalg.eigh((a + adjoint(a)) / 2.0)
     if max_abs(eigvals) * scale == math.inf:

@@ -172,11 +172,13 @@ class TestBellCodeReport:
         assert report.adjoint_residual == check.adjoint_residual
         assert report.adjoint_closed == (report.adjoint_residual <= 1e-10)
 
+    # the report reads the pinching from the orbit graph's m = 0 component
     def test_pinch_residual_is_the_pinching(self):
-        for d, j in ((3, 2), (6, 1)):
-            seed = first_factor_projection(d, j)
-            expected = max_abs(bell_rep(d).pinch(seed) - np.eye(d * d) / d)
-            assert bell_code_report(d, j).pinch_residual == pytest.approx(expected, abs=1e-15)
+        for d in range(2, 17):
+            for j in (1, d):
+                seed = first_factor_projection(d, j)
+                expected = max_abs(bell_rep(d).pinch(seed) - np.eye(d * d) / d)
+                assert bell_code_report(d, j).pinch_residual == pytest.approx(expected, abs=1e-15)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_block_residuals_stay_at_rounding(self, d):

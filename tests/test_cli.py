@@ -619,7 +619,7 @@ def test_overflowing_psd_message_is_the_error_line_alone(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == ("error: seed is not positive semidefinite (min eigenvalue -inf); "
-                           "pass allow_nonpositive=True to explore anyway\n")
+                           "pass allow_nonpositive=True (--allow-nonpositive) to explore anyway\n")
 
 
 def test_console_entry_point_runs():

@@ -35,6 +35,7 @@ from helpers import (
     FREQS,
     P_PLUS_4,
     SIGMA_X,
+    SIGMA_Z,
     adjoint_closure_reference,
     operator_system_reference,
     pair_loop_graph,
@@ -74,12 +75,26 @@ class TestFrequencyComponents:
         assert max_abs(comps[-2] - p_minus @ s @ P_PLUS_4) <= 1e-12
         assert max_abs(comps[0] - 2.0 * np.eye(4)) <= 1e-12
 
-    def test_sum_reconstructs_seed(self):
-        rep = bell_rep(3)
-        seed = first_factor_projection(3, 1)
-        comps = frequency_components(rep, seed)
-        assert sorted(c.freq for c in comps) == [-2, -1, 0, 1, 2]
-        assert max_abs(sum(c.operator for c in comps) - seed) <= 1e-12
+    # mixed-sign frequencies, Haar-rotated blocks, dense seeds scaled 1e-300..1e300
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 7),
+        freqs=FREQS,
+        scale=st.floats(-300.0, 300.0).map(lambda exponent: 10.0**exponent),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, freqs=[-2, 0, 3], scale=1e-308, seed=0)
+    def test_sum_reconstructs_seed(self, n, freqs, scale, seed):
+        rng = np.random.default_rng(seed)
+        rep = random_rep(rng, n, freqs[:n])
+        m0 = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        comps = {c.freq: c.operator for c in frequency_components(rep, m0)}
+        assert max_abs(sum(comps.values()) - m0) <= 1e-12 * max_abs(m0)
+        # the m = 0 component is the pinching, also as the orbit graph reads it
+        pinched = rep.pinch(m0)
+        assert max_abs(comps[0] - pinched) <= 1e-12 * max_abs(m0)
+        graph = orbit_graph(rep, m0, allow_nonpositive=True)
+        assert max_abs(graph._pinched_seed() - pinched) <= 1e-12 * max_abs(m0)
 
     def test_conjugation_expands_in_components(self):
         rng = np.random.default_rng(1)
@@ -156,6 +171,17 @@ class TestStackedBasis:
         graph = OperatorGraph(dim=2, basis=[np.eye(2) / np.sqrt(2)])
         with pytest.raises(ValueError):
             graph.project(np.eye(3))
+
+    # sum_j <b_j, a> b_j, the projection for an orthonormal basis only, read
+    # 2 (I + X) for X + Z on the first basis and 4I for I on the second
+    @pytest.mark.parametrize("basis,a,want", [
+        ([np.eye(2), np.eye(2) + SIGMA_X], SIGMA_X + SIGMA_Z, SIGMA_X),
+        ([np.eye(2), np.eye(2)], np.eye(2), np.eye(2)),
+    ], ids=["not-orthonormal", "linearly-dependent"])
+    def test_project_is_exact_on_any_basis(self, basis, a, want):
+        graph = OperatorGraph(dim=2, basis=basis)
+        assert max_abs(graph.project(a) - want) <= 1e-14
+        assert max_abs(graph.project(np.stack([a, 2 * a])) - np.stack([want, 2 * want])) <= 1e-14
 
     def test_project_on_stack_matches_each_matrix(self):
         rng = np.random.default_rng(15)
@@ -593,7 +619,7 @@ class TestMaximalGraph:
 
 @pytest.mark.parametrize("seed,message", [
     (np.triu(np.ones((4, 4))), "seed is not positive semidefinite (not Hermitian); "
-                               "pass allow_nonpositive=True to explore anyway"),
+                               "pass allow_nonpositive=True (--allow-nonpositive) to explore anyway"),
     # the PSD check used to run first and fail with numpy's broadcast or shape error
     (np.ones((3, 4)), "expected a 4x4 matrix, got (3, 4)"),
     (np.ones(4), "expected a 4x4 matrix, got (4,)"),
@@ -601,7 +627,7 @@ class TestMaximalGraph:
     (-np.eye(3), "expected a 4x4 matrix, got (3, 3)"),
     # (A + A^dagger) / 2 overflowed to NaN there, and NaN passed the PSD check
     (-1e308 * P_PLUS_4, "seed is not positive semidefinite (min eigenvalue -1e+308); "
-                        "pass allow_nonpositive=True to explore anyway"),
+                        "pass allow_nonpositive=True (--allow-nonpositive) to explore anyway"),
 ], ids=["non-hermitian-seed", "seed-3x4", "seed-1-d", "seed-3x3", "non-psd-seed-3x3",
         "seed-minus-1e308"])
 def test_input_rejections(block_rep, seed, message):
