@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .graphs import OperatorGraph
 from .linalg import DEFAULT_TOL, Tolerance, _phase_clusters, adjoint, is_projection
 
 __all__ = [
+    "Assertion",
     "AnticliqueVerdict",
     "SpectralVerdict",
     "MergedSpectrum",
@@ -39,6 +41,18 @@ __all__ = [
     "anticliques_from_spectrum",
     "merged_spectrum_angles",
 ]
+
+
+class Assertion(NamedTuple("_Assertion", [("name", str), ("passed", bool), ("residual", float),
+                                           ("details", dict)])):
+    """One named check of a report: its verdict, the residual it was decided
+    on, and details.  ``passed`` is stored as a bool and ``residual`` as a
+    float, so a numpy scalar comparison serializes like any other."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, passed, residual, details: dict | None = None):
+        return super().__new__(cls, name, bool(passed), float(residual), details or {})
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,17 @@ class AnticliqueVerdict:
     max_residual: float
     code_dimension: int
     witness: tuple[int, int, int] | None  # (worst j, row, col) of its largest entry
+
+    def assertion(self, name: str, passed: bool | None = None) -> Assertion:
+        """This verdict as a report assertion, passing iff ``passed`` (default:
+        its own flag); details are code_dimension, the constants as [re, im]
+        pairs and, for a failed check of rank below 2, the reason."""
+        details = {"code_dimension": self.code_dimension,
+                   "constants": [[float(c.real), float(c.imag)] for c in self.constants]}
+        if not self.passed and self.code_dimension < 2:
+            details["reason"] = "code_dimension < 2"
+        return Assertion(name, self.passed if passed is None else passed, self.max_residual,
+                         details)
 
 
 @dataclass(frozen=True)

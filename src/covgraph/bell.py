@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticlique import AnticliqueVerdict, _knill_laflamme
+from .anticlique import AnticliqueVerdict, Assertion, _knill_laflamme
 from .circle import CircleRep
 from .graphs import OperatorGraph, is_operator_system, orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, max_abs
@@ -91,7 +91,11 @@ class BellCodeReport:
     identity_residual: float
     adjoint_residual: float
     verdicts: tuple[AnticliqueVerdict, ...]  # one per P_s, s = 1..d
-    passed: bool
+    assertions: tuple[Assertion, ...]  # the pinch, the two axioms, then one per P_s
+
+    @property
+    def passed(self) -> bool:
+        return all(a.passed for a in self.assertions)
 
 
 def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeReport:
@@ -100,7 +104,8 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
 
     Asserts three facts: the pinching of the seed is I/d, the orbit span
     contains the identity and is adjoint-closed, and every P_s passes the
-    compression check.  The pinching is read from the orbit graph.
+    compression check at code dimension d.  The pinching is read from the
+    orbit graph.
     """
     rep = bell_rep(d)
     seed = first_factor_projection(d, j)
@@ -108,11 +113,13 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
     pinch_residual = max_abs(graph._pinched_seed() - np.eye(d * d) / d)
     system = is_operator_system(graph, tol)
     verdicts = tuple(_knill_laflamme(rep._frame_rows(s), graph, tol) for s in range(d))
-    passed = (
-        pinch_residual <= tol.eq_tol
-        and system.contains_identity
-        and system.adjoint_closed
-        and all(v.passed and v.code_dimension == d for v in verdicts)
+    assertions = (
+        Assertion("pinch-is-identity-over-d", pinch_residual <= tol.eq_tol, pinch_residual,
+                  {"span_dim": graph.span_dim}),
+        Assertion("graph-contains-identity", system.contains_identity, system.identity_residual),
+        Assertion("graph-adjoint-closed", system.adjoint_closed, system.adjoint_residual),
+        *(v.assertion(f"anticlique-s-{s}", v.passed and v.code_dimension == d)
+          for s, v in enumerate(verdicts, start=1)),
     )
     return BellCodeReport(
         d=d,
@@ -124,5 +131,5 @@ def bell_code_report(d: int, j: int, tol: Tolerance = DEFAULT_TOL) -> BellCodeRe
         identity_residual=system.identity_residual,
         adjoint_residual=system.adjoint_residual,
         verdicts=verdicts,
-        passed=passed,
+        assertions=assertions,
     )

@@ -1,5 +1,10 @@
-"""Command-line front end: JSON matrix I/O, built-in demos, verification
-pipelines, and machine-readable reports.
+"""Command-line front end: JSON matrix I/O and machine-readable reports.
+
+``demo4``, ``bell`` and ``scan`` serialize the library's ``family_report``,
+``bell_code_report`` and ``scan_report``: each report carries its own
+``assertions``, which decide the verdict and the exit code.  ``verify``
+still chains the orbit graph, the sampled cross-check and the compression
+check itself.
 
 Exit codes: 0 all assertions pass, 1 an assertion failed, 2 input or usage
 error.  Reports follow the "covgraph-report/1" schema; JSON output is
@@ -10,6 +15,7 @@ are byte-identical.  --tol sets the equality tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -17,10 +23,10 @@ import sys
 
 import numpy as np
 
-from .anticlique import AnticliqueVerdict, verify_anticlique
+from .anticlique import Assertion, verify_anticlique
 from .bell import bell_code_report
 from .circle import CircleRep
-from .families import FamilyParams, family_report
+from .families import FamilyParams, family_report, scan_report
 from .graphs import _span_gap, orbit_graph, sampled_orbit_graph
 from .linalg import DEFAULT_TOL, Tolerance, _as_integer
 
@@ -120,7 +126,7 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259)
         raise CliInputError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -180,46 +186,23 @@ def parse_grid(spec: str) -> list[float]:
 # report assembly
 
 
-def _assertion(name: str, passed: bool, residual: float, details=None) -> dict:
-    return {
-        "name": name,
-        "passed": bool(passed),
-        "residual": float(residual),
-        "details": details if details is not None else {},
-    }
-
-
 def _complex_pairs(values) -> list[list[float]]:
     return [[float(c.real), float(c.imag)] for c in values]
 
 
-def _verdict_assertion(name: str, verdict: AnticliqueVerdict, passed: bool | None = None) -> dict:
-    """An anticlique verdict as an assertion; ``passed`` overrides its own flag."""
-    details = {
-        "code_dimension": verdict.code_dimension,
-        "constants": _complex_pairs(verdict.constants),
-    }
-    if not verdict.passed and verdict.code_dimension < 2:
-        details["reason"] = "code_dimension < 2"
-    return _assertion(
-        name, verdict.passed if passed is None else passed, verdict.max_residual, details
-    )
-
-
-def _emit(args, report: dict) -> int:
+def _emit(args, inputs: dict, assertions, **extras) -> int:
     """Print the report of ``args.command``; exit code 0 iff every assertion passed."""
-    report = {"version": REPORT_VERSION, "command": args.command, **report}
     if args.json:
-        print(canonical_dumps(report))
+        print(canonical_dumps({
+            "version": REPORT_VERSION, "command": args.command, "inputs": inputs,
+            "assertions": [a._asdict() for a in assertions], **extras,
+        }))
     else:
-        print(f"{report['command']}  inputs: {report['inputs']}")
-        for item in report["assertions"]:
-            tag = "PASS" if item["passed"] else "FAIL"
-            line = f"[{tag}] {item['name']:<28} residual={item['residual']:.3e}"
-            if item["details"]:
-                line += f"  {item['details']}"
-            print(line)
-    return 0 if all(item["passed"] for item in report["assertions"]) else 1
+        print(f"{args.command}  inputs: {inputs}")
+        for a in assertions:
+            line = f"[{'PASS' if a.passed else 'FAIL'}] {a.name:<28} residual={a.residual:.3e}"
+            print(f"{line}  {a.details}" if a.details else line)
+    return 0 if all(a.passed for a in assertions) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,30 +211,6 @@ def _emit(args, report: dict) -> int:
 
 def _cmd_demo4(args, tol: Tolerance) -> int:
     result = family_report(FamilyParams(args.tau, args.z1, args.z2, args.z4, args.k), tol)
-    system = result.system
-    assertions = [
-        _assertion(
-            "projection-idempotent",
-            result.idempotence_residual <= tol.eq_tol,
-            result.idempotence_residual,
-        ),
-        _assertion(
-            "projection-trace-2", result.trace_residual <= tol.eq_tol, result.trace_residual
-        ),
-        _assertion(
-            "complement-in-family", result.complement_in_family, result.complement_residual
-        ),
-        _assertion(
-            "graph-contains-identity",
-            system.contains_identity,
-            system.identity_residual,
-            {"span_dim": result.graph.span_dim},
-        ),
-        _assertion("graph-adjoint-closed", system.adjoint_closed, system.adjoint_residual),
-        _verdict_assertion("anticlique-p-plus", result.verdict_plus),
-        _verdict_assertion("anticlique-p-minus", result.verdict_minus),
-    ]
-
     ent = result.entanglement
     schmidt_block = {
         "corrected": {row.label: [float(c) for c in row.corrected_coefficients] for row in ent.rows},
@@ -262,42 +221,15 @@ def _cmd_demo4(args, tol: Tolerance) -> int:
         "boundary_separable": ent.boundary_separable,
         "printed_prefactor_norm_deviation": ent.printed_prefactor_norm_deviation,  # inf -> null
     }
-
-    report = {
-        "inputs": {"tau": args.tau, "z1": args.z1, "z2": args.z2, "z4": args.z4, "k": args.k},
-        "assertions": assertions,
-        "constants": _complex_pairs(result.verdict_plus.constants),
-        "schmidt": schmidt_block,
-    }
-    return _emit(args, report)
+    inputs = {"tau": args.tau, "z1": args.z1, "z2": args.z2, "z4": args.z4, "k": args.k}
+    return _emit(args, inputs, result.assertions,
+                 constants=_complex_pairs(result.verdict_plus.constants), schmidt=schmidt_block)
 
 
 def _cmd_bell(args, tol: Tolerance) -> int:
     result = bell_code_report(args.dim, args.j, tol)
-    assertions = [
-        _assertion(
-            "pinch-is-identity-over-d",
-            result.pinch_residual <= tol.eq_tol,
-            result.pinch_residual,
-            {"span_dim": result.graph.span_dim},
-        ),
-        _assertion(
-            "graph-contains-identity", result.contains_identity, result.identity_residual
-        ),
-        _assertion("graph-adjoint-closed", result.adjoint_closed, result.adjoint_residual),
-    ]
-    for s, verdict in enumerate(result.verdicts, start=1):
-        assertions.append(
-            _verdict_assertion(
-                f"anticlique-s-{s}", verdict, verdict.passed and verdict.code_dimension == args.dim
-            )
-        )
-    report = {
-        "inputs": {"dim": args.dim, "j": args.j},
-        "assertions": assertions,
-        "constants": _complex_pairs(result.verdicts[0].constants),
-    }
-    return _emit(args, report)
+    return _emit(args, {"dim": args.dim, "j": args.j}, result.assertions,
+                 constants=_complex_pairs(result.verdicts[0].constants))
 
 
 def _cmd_verify(args, tol: Tolerance) -> int:
@@ -312,71 +244,32 @@ def _cmd_verify(args, tol: Tolerance) -> int:
     if args.samples is not None:
         sampled = sampled_orbit_graph(rep, seed, args.samples, tol)
         proj_diff = _span_gap(graph, sampled)
-        assertions.append(
-            _assertion(
-                "sampled-span-consistent",
-                sampled.span_dim == graph.span_dim and proj_diff <= SAMPLED_SPAN_TOL,
-                proj_diff,
-                {"analytic_dim": graph.span_dim, "sampled_dim": sampled.span_dim},
-            )
-        )
+        assertions.append(Assertion(
+            "sampled-span-consistent",
+            sampled.span_dim == graph.span_dim and proj_diff <= SAMPLED_SPAN_TOL,
+            proj_diff,
+            {"analytic_dim": graph.span_dim, "sampled_dim": sampled.span_dim},
+        ))
 
     verdict = verify_anticlique(candidate, graph, tol)
-    assertions.append(_verdict_assertion("anticlique", verdict))
-
-    report = {
-        "inputs": {"rep": args.rep, "m0": args.m0, "proj": args.proj, "samples": args.samples},
-        "assertions": assertions,
-        "constants": _complex_pairs(verdict.constants),
-    }
-    return _emit(args, report)
+    assertions.append(verdict.assertion("anticlique"))
+    inputs = {"rep": args.rep, "m0": args.m0, "proj": args.proj, "samples": args.samples}
+    return _emit(args, inputs, assertions, constants=_complex_pairs(verdict.constants))
 
 
 def _cmd_scan(args, tol: Tolerance) -> int:
     grid = parse_grid(args.grid)
     if args.seed < 0:  # numpy's own message names no flag
         raise CliInputError(f"--seed must be non-negative, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    assertions = []
-    for i, tau in enumerate(grid):
-        z1, z2, z4 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=3))
-        result = family_report(FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=0), tol)
-        plus, minus = result.verdict_plus, result.verdict_minus
-        row = result.entanglement.rows[0]
-        assertions.append(
-            _assertion(
-                f"point-{i}",
-                result.idempotence_residual <= tol.eq_tol and plus.passed and minus.passed,
-                max(result.idempotence_residual, plus.max_residual, minus.max_residual),
-                {
-                    "tau": tau,
-                    "z1": z1,
-                    "z2": z2,
-                    "z4": z4,
-                    "span_dim": result.graph.span_dim,
-                    "printed_entropy_bits": row.printed_entropy_bits,
-                    "corrected_entropy_bits": row.corrected_entropy_bits,
-                    "max_entropy": abs(row.printed_entropy_bits - 1.0) <= 1e-9,
-                    "boundary_separable": result.entanglement.boundary_separable,
-                },
-            )
-        )
-    all_ok = all(item["passed"] for item in assertions)
-    worst = max(item["residual"] for item in assertions)
-    assertions.append(
-        _assertion("aggregate", all_ok, worst, {"points": len(grid), "all_passed": all_ok})
-    )
-    report = {
-        "inputs": {"grid": args.grid, "seed": args.seed},
-        "assertions": assertions,
-    }
-    return _emit(args, report)
+    return _emit(args, {"grid": args.grid, "seed": args.seed},
+                 scan_report(grid, args.seed, tol).assertions)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covgraph",

@@ -17,7 +17,8 @@ closed-form Schmidt weight pair (1 - 4 tau^2, 4 tau^2); the report below
 carries that pair (the "printed" route) side by side with the spectrum
 computed from the column identification (the "corrected" route) and flags
 any disagreement instead of choosing.  ``family_report`` runs the whole
-two-block certification of one member.
+two-block certification of one member, and ``scan_report`` runs it over
+a tau grid with seeded random phases.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .anticlique import AnticliqueVerdict, _knill_laflamme
+from .anticlique import AnticliqueVerdict, Assertion, _knill_laflamme
 from .circle import CircleRep
 from .graphs import OperatorGraph, OperatorSystemCheck, is_operator_system, orbit_graph
 from .linalg import (
@@ -50,6 +51,8 @@ __all__ = [
     "entanglement_report",
     "FamilyReport",
     "family_report",
+    "ScanReport",
+    "scan_report",
     "PRODUCT_LABELS",
 ]
 
@@ -311,6 +314,8 @@ class FamilyReport:
     verdict_plus: AnticliqueVerdict  # P+ = diag(1, 1, 0, 0), onto span(e+, h+)
     verdict_minus: AnticliqueVerdict  # P- = I - P+, onto span(e-, h-)
     entanglement: EntanglementReport
+    # idempotence, trace 2, complement, the two axioms, then P+ and P-
+    assertions: tuple[Assertion, ...]
 
 
 @functools.cache
@@ -331,17 +336,77 @@ def family_report(params: FamilyParams, tol: Tolerance = DEFAULT_TOL) -> FamilyR
     complement_residual = (
         math.inf if recovered is None else max_abs(family_projection(recovered) - complement)
     )
+    in_family = complement_residual <= tol.eq_tol
+    idempotence, trace = max_abs(q @ q - q), abs(np.trace(q).real - 2.0)
     rep = _family_rep()
     graph = orbit_graph(rep, q, tol)
+    system = is_operator_system(graph, tol)
+    plus, minus = (_knill_laflamme(rep._frame_rows(block), graph, tol) for block in (0, 1))
     return FamilyReport(
         params=params,
-        idempotence_residual=max_abs(q @ q - q),
-        trace_residual=abs(np.trace(q).real - 2.0),
-        complement_in_family=complement_residual <= tol.eq_tol,
+        idempotence_residual=idempotence,
+        trace_residual=trace,
+        complement_in_family=in_family,
         complement_residual=complement_residual,
         graph=graph,
-        system=is_operator_system(graph, tol),
-        verdict_plus=_knill_laflamme(rep._frame_rows(0), graph, tol),
-        verdict_minus=_knill_laflamme(rep._frame_rows(1), graph, tol),
+        system=system,
+        verdict_plus=plus,
+        verdict_minus=minus,
         entanglement=entanglement_report(params, tol),
+        assertions=(
+            Assertion("projection-idempotent", idempotence <= tol.eq_tol, idempotence),
+            Assertion("projection-trace-2", trace <= tol.eq_tol, trace),
+            Assertion("complement-in-family", in_family, complement_residual),
+            Assertion("graph-contains-identity", system.contains_identity,
+                      system.identity_residual, {"span_dim": graph.span_dim}),
+            Assertion("graph-adjoint-closed", system.adjoint_closed, system.adjoint_residual),
+            plus.assertion("anticlique-p-plus"),
+            minus.assertion("anticlique-p-minus"),
+        ),
     )
+
+
+@dataclass(frozen=True)
+class ScanReport:
+    """Family reports over a tau grid, one per point, and their assertions:
+    ``point-i`` for each, then ``aggregate``."""
+
+    points: tuple[FamilyReport, ...]
+    assertions: tuple[Assertion, ...]
+
+
+def scan_report(grid, seed: int, tol: Tolerance = DEFAULT_TOL) -> ScanReport:
+    """Run ``family_report`` at each tau of the grid, with phases z1, z2, z4
+    drawn uniformly from [0, 2 pi) by ``numpy.random.default_rng(seed)``, three
+    per point in grid order.
+
+    A point passes iff its member is idempotent and both P+ and P- are codes;
+    its residual is the largest of those three.  The aggregate passes iff
+    every point does and carries the largest point residual.
+    """
+    if len(grid) == 0:
+        raise ValueError("empty grid")
+    rng = np.random.default_rng(seed)
+    points, assertions = [], []
+    for i, tau in enumerate(grid):
+        z1, z2, z4 = (float(x) for x in rng.uniform(0.0, 2.0 * math.pi, size=3))
+        report = family_report(FamilyParams(tau=tau, z1=z1, z2=z2, z4=z4, k=0), tol)
+        idempotent, *_, plus, minus = report.assertions
+        row = report.entanglement.rows[0]
+        points.append(report)
+        assertions.append(Assertion(
+            f"point-{i}",
+            idempotent.passed and plus.passed and minus.passed,
+            max(idempotent.residual, plus.residual, minus.residual),
+            dict(tau=tau, z1=z1, z2=z2, z4=z4, span_dim=report.graph.span_dim,
+                 printed_entropy_bits=row.printed_entropy_bits,
+                 corrected_entropy_bits=row.corrected_entropy_bits,
+                 max_entropy=abs(row.printed_entropy_bits - 1.0) <= 1e-9,
+                 boundary_separable=report.entanglement.boundary_separable),
+        ))
+    all_ok = all(a.passed for a in assertions)
+    worst = max(a.residual for a in assertions)
+    assertions.append(
+        Assertion("aggregate", all_ok, worst, {"points": len(grid), "all_passed": all_ok})
+    )
+    return ScanReport(points=tuple(points), assertions=tuple(assertions))

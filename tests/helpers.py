@@ -1,21 +1,27 @@
 """Shared fixtures-by-hand for the test suite: Pauli matrices, seeded random
-operators, and a couple of independent oracles used to cross-check the
-library's own routines."""
+operators, a couple of independent oracles used to cross-check the
+library's own routines, and the golden reports as test parameters."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from covgraph import (
     CircleRep,
     OperatorGraph,
+    Tolerance,
     adjoint,
     gram_schmidt_operators,
     hs_inner,
     max_abs,
 )
+from covgraph.cli import build_parser
 from covgraph.linalg import DEFAULT_TOL
+from golden.regen import CASES, REPORTS
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -174,3 +180,16 @@ def subspace_projector_from_ops(ops: list[np.ndarray]) -> np.ndarray:
     keep = s > 1e-10 * max(1.0, s[0] if s.size else 0.0)
     basis = vh[keep]  # rows are an orthonormal basis of the span
     return basis.T @ basis.conj()
+
+
+def golden_reports(command: str) -> list:
+    """pytest params (parsed CLI arguments, their tolerance, the recorded
+    assertions) for every golden case of ``command`` that printed a report."""
+    params = []
+    for name, argv in sorted(CASES.items()):
+        report = json.loads((REPORTS / f"{name}.json").read_text(encoding="utf-8"))["report"]
+        if argv[0] == command and report is not None:
+            args = build_parser().parse_args(argv)
+            tol = DEFAULT_TOL if args.tol is None else Tolerance(eq_tol=args.tol)
+            params.append(pytest.param(args, tol, report["assertions"], id=name))
+    return params

@@ -10,6 +10,7 @@ import pytest
 
 import covgraph.bell
 from covgraph import (
+    AnticliqueVerdict,
     Tolerance,
     bell_code_report,
     bell_rep,
@@ -20,7 +21,7 @@ from covgraph import (
     orbit_graph,
     schmidt,
 )
-from helpers import random_projection
+from helpers import golden_reports, random_projection
 
 
 def product_basis_vector(d: int, first: int, second: int) -> np.ndarray:
@@ -194,6 +195,35 @@ class TestBellCodeReport:
         # graph-contains-identity, with identity residuals up to 2.0e-14
         tol = Tolerance(eq_tol=1e-14)
         assert [j for j in range(1, d + 1) if not bell_code_report(d, j, tol).passed] == []
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_passed_is_the_conjunction_of_its_assertions(self, d):
+        for j in (1, d):
+            report = bell_code_report(d, j)
+            assert report.passed == all(a.passed for a in report.assertions)
+            assert [a.passed for a in report.assertions] == [
+                report.pinch_residual <= 1e-10, report.contains_identity, report.adjoint_closed,
+                *(v.passed and v.code_dimension == d for v in report.verdicts)]
+
+    def test_a_code_of_the_wrong_dimension_fails_the_report(self, monkeypatch):
+        check = covgraph.bell._knill_laflamme
+
+        def shrink_second(rows, graph, tol):  # P_2 passes, but as a code of dimension d - 1
+            verdict = check(rows, graph, tol)
+            if rows[0] == 3:
+                return AnticliqueVerdict(True, verdict.constants, 0.0, 2, None)
+            return verdict
+
+        monkeypatch.setattr(covgraph.bell, "_knill_laflamme", shrink_second)
+        report = bell_code_report(3, 1)
+        assert [a.name for a in report.assertions if not a.passed] == ["anticlique-s-2"]
+        assert not report.passed
+
+    @pytest.mark.parametrize("args,tol,want", golden_reports("bell"))
+    def test_assertions_are_the_cli_report(self, args, tol, want):
+        report = bell_code_report(args.dim, args.j, tol)
+        assert [(a.name, a.passed) for a in report.assertions] == [
+            (w["name"], w["passed"]) for w in want]
 
     def test_checks_leave_the_basis_in_the_frame(self):
         report = bell_code_report(5, 2)

@@ -3,6 +3,7 @@ resolution, and the four subcommand pipelines run through main()."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -23,6 +24,7 @@ from covgraph import (
 )
 from covgraph.cli import (
     CliInputError,
+    build_parser,
     canonical_dumps,
     main,
     matrix_from_json,
@@ -270,6 +272,30 @@ class TestDemo4:
         assert report == want
 
 
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+        build_parser.cache_clear()
+        assert main(["bell", "--dim", "2", "--j", "1"]) == 0
+        assert main(["demo4", "--tau", "0.25"]) == 0
+        assert built.count("covgraph") == 1
+
+    def test_a_usage_error_between_calls_leaves_the_next_report_unchanged(self, capsys):
+        argv = ["demo4", "--tau", "0.25", "--json"]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        # --z1 is parsed before --z2 fails; the next call must not see it
+        with pytest.raises(SystemExit) as exc:
+            main(["demo4", "--tau", "0.3", "--z1", "1", "--z2", "pi/0", "--json"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+
 class TestHumanOutput:
     """The report printed without --json: a header line naming the command and
     its inputs, then one [PASS] or [FAIL] line per assertion."""
@@ -504,6 +530,9 @@ REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
      "expected a 4x4 matrix, got (3, 4)"),
     (["verify", "--rep", "{tmp}/missing.json", "--m0", "{m0}", "--proj", "{proj}"], {},
      "cannot read {tmp}/missing.json"),
+    # used to name no file: "error: 'utf-8' codec can't decode byte 0xff ..."
+    (VERIFY, {"rep": b"\xff\xfe{}"},
+     "malformed JSON in {tmp}/bad-rep.json: 'utf-8' codec can't decode byte 0xff in position 0"),
     (["scan", "--grid", "0:1"], {}, "range grid must be start:stop:count"),
     (["scan", "--grid", "0:1:0"], {}, "grid count must be >= 1"),
     (["scan", "--grid", "0:1:x"], {}, "malformed grid '0:1:x'"),
@@ -511,13 +540,16 @@ REP_DOC = rep_to_json(two_block_rep(P_PLUS_4))
     # used to exit 2 with numpy's "expected non-negative integer"
     (["scan", "--grid", "0.1", "--seed", "-1"], {}, "--seed must be non-negative, got -1"),
 ], ids=["matrix-not-object", "rep-not-object", "rows-0", "cols-0", "rep-without-freqs",
-        "dim-disagrees", "seed-3x4", "unreadable-rep", "grid-two-fields",
+        "dim-disagrees", "seed-3x4", "unreadable-rep", "rep-not-utf-8", "grid-two-fields",
         "grid-count-0", "grid-count-not-int", "grid-not-floats", "scan-seed-negative"])
 def test_input_rejections(argv, docs, message, instance_files, tmp_path, capsys):
     paths = {**instance_files, "tmp": str(tmp_path)}
     for name, doc in docs.items():
         path = tmp_path / f"bad-{name}.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(json.dumps(doc), encoding="utf-8")
         paths[name] = str(path)
     assert main([arg.format(**paths) for arg in argv]) == 2
     assert f"error: {message.format(**paths)}" in capsys.readouterr().err

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 import covgraph.families
 from covgraph import (
+    AnticliqueVerdict,
     FamilyParams,
+    Tolerance,
     adjoint,
     corrected_identification,
     entanglement_report,
@@ -28,12 +30,13 @@ from covgraph import (
     is_operator_system,
     max_abs,
     orbit_graph,
+    scan_report,
     spanning_vectors,
     tensor_identification,
     two_block_rep,
     verify_anticlique,
 )
-from helpers import P_PLUS_4
+from helpers import P_PLUS_4, golden_reports
 
 TAU_MAX_ENTANGLED = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -263,6 +266,55 @@ class TestFamilyReport:
         report = family_report(FamilyParams(0.25))
         assert not report.complement_in_family
         assert 1e-10 < report.complement_residual < 1e-5
+
+
+    @pytest.mark.parametrize("args,tol,want", golden_reports("demo4"))
+    def test_assertions_are_the_cli_report(self, args, tol, want):
+        report = family_report(FamilyParams(args.tau, args.z1, args.z2, args.z4, args.k), tol)
+        assert [(a.name, a.passed) for a in report.assertions] == [
+            (w["name"], w["passed"]) for w in want]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(0.0, 0.5), min_size=1, max_size=4), st.integers(0, 2**32))
+    def test_scan_points_follow_the_family_rule(self, grid, seed):
+        tol = Tolerance(eq_tol=1e-10)
+        scan = scan_report(grid, seed, tol)
+        *points, aggregate = scan.assertions
+        phases = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi, size=(len(grid), 3))
+        assert [a.name for a in points] == [f"point-{i}" for i in range(len(grid))]
+        for point, report, tau, (z1, z2, z4) in zip(points, scan.points, grid, phases):
+            plus, minus = report.verdict_plus, report.verdict_minus
+            assert report.params == FamilyParams(tau, z1, z2, z4)
+            assert point.passed == (report.idempotence_residual <= tol.eq_tol
+                                    and plus.passed and minus.passed)
+            assert point.residual == max(report.idempotence_residual, plus.max_residual,
+                                         minus.max_residual)
+            assert (point.details["tau"], point.details["z1"]) == (tau, z1)
+        assert aggregate.name == "aggregate"
+        assert aggregate.passed == all(a.passed for a in points) == aggregate.details["all_passed"]
+        assert aggregate.residual == max(a.residual for a in points)
+
+    def test_a_failing_code_fails_its_scan_point_and_the_aggregate(self, monkeypatch):
+        report = covgraph.families.family_report
+
+        def family_report_failing_minus(params, tol):  # P- fails once tau exceeds 1/4
+            got = report(params, tol)
+            if params.tau <= 0.25:
+                return got
+            failed = AnticliqueVerdict(False, got.verdict_minus.constants, 0.5, 2, (0, 0, 0))
+            *rest, _ = got.assertions
+            return dataclasses.replace(got, verdict_minus=failed,
+                                       assertions=(*rest, failed.assertion("anticlique-p-minus")))
+
+        monkeypatch.setattr(covgraph.families, "family_report", family_report_failing_minus)
+        scan = scan_report([0.1, 0.3, 0.2], 5)
+        assert [(a.name, a.passed, a.residual == 0.5) for a in scan.assertions] == [
+            ("point-0", True, False), ("point-1", False, True), ("point-2", True, False),
+            ("aggregate", False, True)]
+
+    def test_scan_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="empty grid"):
+            scan_report([], 0)
 
 
 class TestSpanningVectors:
